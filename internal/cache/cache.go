@@ -385,9 +385,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns the live counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return c.numSets }
-
 // blockBase aligns an address to its block. Power-of-two geometries (the
 // default) take the mask path; the div/mod fallback keeps odd geometries
 // working.

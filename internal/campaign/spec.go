@@ -109,10 +109,6 @@ const (
 // coercion.
 type paramSetter func(*simsvc.RunSpec, json.RawMessage) error
 
-func setString(dst *string) func(json.RawMessage) error {
-	return func(raw json.RawMessage) error { return strictUnmarshal(raw, dst) }
-}
-
 // strictUnmarshal decodes exactly one JSON value of v's type, rejecting
 // trailing garbage.
 func strictUnmarshal(raw json.RawMessage, v any) error {

@@ -168,9 +168,17 @@ type Lab struct {
 	svc     *simsvc.Service
 	ownsSvc bool
 
-	mu   sync.Mutex
-	ctx  context.Context // active RunContext context (nil ⇒ Background)
-	apps map[string]*workload.App
+	mu  sync.Mutex
+	ctx context.Context // active RunContext context (nil ⇒ Background)
+	// The input memo: workloads by name, power traces by (name, seed).
+	// Simulations only read them, so every run shares one instance of each.
+	apps   map[string]*workload.App
+	traces map[traceID]*powertrace.Trace
+}
+
+type traceID struct {
+	name string
+	seed uint64
 }
 
 // New creates a Lab backed by its own simulation service.
@@ -181,9 +189,10 @@ func New(opts Options) *Lab { return NewWithService(nil, opts) }
 // the lab's Close.
 func NewWithService(svc *simsvc.Service, opts Options) *Lab {
 	l := &Lab{
-		opts: opts,
-		svc:  svc,
-		apps: make(map[string]*workload.App),
+		opts:   opts,
+		svc:    svc,
+		apps:   make(map[string]*workload.App),
+		traces: make(map[traceID]*powertrace.Trace),
 	}
 	if l.svc == nil {
 		sopts := simsvc.DefaultOptions()
@@ -237,17 +246,26 @@ func (l *Lab) context() context.Context {
 
 // app returns the (cached) workload instance.
 func (l *Lab) app(name string) (*workload.App, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if a, ok := l.apps[name]; ok {
-		return a, nil
+	return memo(&l.mu, l.apps, name, func() (*workload.App, error) { return workload.ByName(name, l.opts.scale()) })
+}
+
+// trace returns the (cached) power trace.
+func (l *Lab) trace(name string, seed uint64) (*powertrace.Trace, error) {
+	return memo(&l.mu, l.traces, traceID{name, seed}, func() (*powertrace.Trace, error) { return powertrace.ByName(name, seed) })
+}
+
+// memo returns m[k], building and recording it under mu on first use.
+func memo[K comparable, V any](mu *sync.Mutex, m map[K]V, k K, build func() (V, error)) (V, error) {
+	mu.Lock()
+	defer mu.Unlock()
+	if v, ok := m[k]; ok {
+		return v, nil
 	}
-	a, err := workload.ByName(name, l.opts.scale())
-	if err != nil {
-		return nil, err
+	v, err := build()
+	if err == nil {
+		m[k] = v
 	}
-	l.apps[name] = a
-	return a, nil
+	return v, err
 }
 
 // configFn derives a concrete config from the default for (app, trace).
@@ -262,7 +280,7 @@ func (l *Lab) result(appName, traceName string, seed uint64, cfgID string, fn co
 	if err != nil {
 		return nil, err
 	}
-	trace, err := powertrace.ByName(traceName, seed)
+	trace, err := l.trace(traceName, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +322,7 @@ func (l *Lab) idealResult(appName, traceName string, seed uint64) (*ehs.Result, 
 	if err != nil {
 		return nil, err
 	}
-	trace, err := powertrace.ByName(traceName, seed)
+	trace, err := l.trace(traceName, seed)
 	if err != nil {
 		return nil, err
 	}

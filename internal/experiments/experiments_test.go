@@ -197,3 +197,27 @@ func TestPercentileAndMean(t *testing.T) {
 		t.Fatal("empty cases wrong")
 	}
 }
+
+// The lab synthesizes each (trace, seed) once and shares it across runs.
+func TestLabSharesTraces(t *testing.T) {
+	l := New(Quick())
+	defer l.Close()
+	a, err := l.trace("RFHome", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := l.trace("RFHome", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := l.trace("RFHome", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b || a == c {
+		t.Fatal("traces must be memoized per (name, seed)")
+	}
+	if _, err := l.trace("wind", 1); err == nil {
+		t.Fatal("unknown trace should error")
+	}
+}

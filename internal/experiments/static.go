@@ -72,7 +72,7 @@ type Fig11Result struct {
 func (l *Lab) Fig11PowerTraces() (*Fig11Result, error) {
 	out := &Fig11Result{}
 	for _, name := range powertrace.Names() {
-		tr, err := powertrace.ByName(name, l.opts.seeds()[0])
+		tr, err := l.trace(name, l.opts.seeds()[0])
 		if err != nil {
 			return nil, err
 		}

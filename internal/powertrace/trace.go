@@ -297,17 +297,28 @@ func Thermal(seed uint64) *Trace {
 	})
 }
 
-// ByName returns the named built-in trace ("RFHome", "Solar", "Thermal").
-func ByName(name string, seed uint64) (*Trace, error) {
+// Lookup is the one name table of the built-in traces: it maps an accepted
+// spelling (any case; "rf" aliases RFHome) to the canonical name and the
+// generator, synthesizing nothing.
+func Lookup(name string) (string, func(seed uint64) *Trace, error) {
 	switch strings.ToLower(name) {
 	case "rfhome", "rf":
-		return RFHome(seed), nil
+		return "RFHome", RFHome, nil
 	case "solar":
-		return Solar(seed), nil
+		return "Solar", Solar, nil
 	case "thermal":
-		return Thermal(seed), nil
+		return "Thermal", Thermal, nil
 	}
-	return nil, fmt.Errorf("powertrace: unknown trace %q", name)
+	return "", nil, fmt.Errorf("powertrace: unknown trace %q", name)
+}
+
+// ByName returns the named built-in trace ("RFHome", "Solar", "Thermal").
+func ByName(name string, seed uint64) (*Trace, error) {
+	_, gen, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return gen(seed), nil
 }
 
 // Names lists the built-in trace names in evaluation order.

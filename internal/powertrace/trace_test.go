@@ -29,6 +29,26 @@ func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nuclear", 1); err == nil {
 		t.Fatal("expected error for unknown trace")
 	}
+	if _, _, err := Lookup("nuclear"); err == nil {
+		t.Fatal("expected error for unknown trace name")
+	}
+}
+
+// Lookup must name exactly the trace ByName synthesizes, aliases included.
+func TestLookupMatchesByName(t *testing.T) {
+	for _, name := range []string{"RFHome", "rfhome", "rf", "RF", "Solar", "solar", "Thermal", "THERMAL"} {
+		canon, _, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canon != tr.Name {
+			t.Errorf("Lookup(%q) = %q, ByName names it %q", name, canon, tr.Name)
+		}
+	}
 }
 
 func TestMeansMatchAcrossSources(t *testing.T) {

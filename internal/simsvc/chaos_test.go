@@ -32,6 +32,27 @@ func chaosPlan(seed uint64) faultinject.Plan {
 	}}
 }
 
+// submitChaos submits spec under an armed chaos plan. The plan's coalesce
+// fault rejects a submission that coalesces onto an in-flight twin; such a
+// rejection is resubmitted, so every spec is still scheduled, and counted, so
+// the caller can check every rejection against the fault's fire count. Any
+// other rejection fails the test.
+func submitChaos(t *testing.T, svc *Service, spec RunSpec) (*Job, int64) {
+	t.Helper()
+	for rejected := int64(0); rejected < 100; rejected++ {
+		job, err := svc.Submit(spec)
+		if err == nil {
+			return job, rejected
+		}
+		var ie *faultinject.InjectedError
+		if !errors.As(err, &ie) || ie.Point != "simsvc.coalesce" {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	t.Fatalf("submit: rejected by the coalesce fault 100 times in a row")
+	return nil, 0
+}
+
 // soakSpecs fans one seed out into distinct job specs: scale and policy
 // variants of the quick workloads.
 func soakSpecs(n int) []RunSpec {
@@ -86,14 +107,16 @@ func TestChaosSoak(t *testing.T) {
 
 			specs := soakSpecs(plainJobs)
 			var jobs []*Job
+			var rejected int64
 			for round := 0; round < 2; round++ {
 				for _, spec := range specs {
-					job, err := svc.Submit(spec)
-					if err != nil {
-						t.Fatalf("round %d submit: %v", round, err)
-					}
+					job, n := submitChaos(t, svc, spec)
 					jobs = append(jobs, job)
+					rejected += n
 				}
+			}
+			if fires := faultinject.Fires("simsvc.coalesce"); rejected != fires {
+				t.Fatalf("%d submissions rejected by the coalesce fault, which fired %d times", rejected, fires)
 			}
 			forked, err := svc.SubmitBatchFork(forkBatch, &ForkPoint{Cycles: 20_000})
 			if err != nil {
@@ -173,9 +196,9 @@ func TestChaosSoak(t *testing.T) {
 			}
 
 			m := svc.Metrics()
-			t.Logf("seed %d: run=%d cached=%d failed=%d retried=%d panics=%d degraded=%d errors=%v",
+			t.Logf("seed %d: run=%d cached=%d failed=%d retried=%d panics=%d degraded=%d coalesce_rejected=%d errors=%v",
 				seed, m.JobsRun, m.JobsCached, m.JobsFailed, m.JobsRetried,
-				m.PanicsRecovered, m.DegradedRuns, m.Errors)
+				m.PanicsRecovered, m.DegradedRuns, rejected, m.Errors)
 			if m.JobsRetried == 0 {
 				t.Error("the chaos plan never fired a compute fault; the soak exercised nothing")
 			}
@@ -238,12 +261,14 @@ func TestServiceCloseUnderChaos(t *testing.T) {
 		RetryMax: 3, RetryBaseDelay: 50 * time.Millisecond, RetryMaxDelay: time.Second,
 	})
 	var jobs []*Job
+	var rejected int64
 	for _, spec := range soakSpecs(12) {
-		job, err := svc.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		job, n := submitChaos(t, svc, spec)
 		jobs = append(jobs, job)
+		rejected += n
+	}
+	if fires := faultinject.Fires("simsvc.coalesce"); rejected != fires {
+		t.Fatalf("%d submissions rejected by the coalesce fault, which fired %d times", rejected, fires)
 	}
 	done := make(chan struct{})
 	go func() {

@@ -52,18 +52,16 @@ func (s *Service) submitRecord(norm *RunSpec, key string) *journal.Record {
 // through the fork path so the derived cache key (and the warm snapshot
 // reuse) match the original submission.
 func (s *Service) forkRecord(norm *RunSpec, key string, base *RunSpec, cycles int64) *journal.Record {
-	if s.jnl == nil {
-		return nil
-	}
-	raw, err := json.Marshal(norm)
-	if err != nil {
+	rec := s.submitRecord(norm, key)
+	if rec == nil {
 		return nil
 	}
 	braw, err := json.Marshal(base)
 	if err != nil {
 		return nil
 	}
-	return &journal.Record{Type: journal.TypeJobSubmit, Key: key, Spec: raw, ForkCycles: cycles, ForkBase: braw}
+	rec.ForkCycles, rec.ForkBase = cycles, braw
+	return rec
 }
 
 // journalIntent appends a submit record for a job that just won a queue

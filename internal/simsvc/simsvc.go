@@ -225,7 +225,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Job is one scheduled simulation. Fields are guarded by the service mutex
-// until done is closed; after that the result fields are immutable.
+// until done is closed; after that the result fields are immutable. A job
+// drops its compute closure once its computation can no longer run.
 type Job struct {
 	id      string
 	key     string
@@ -456,26 +457,38 @@ drain:
 // specs (same content key) coalesce: only the first executes, the rest finish
 // as cache hits.
 func (s *Service) Submit(spec RunSpec) (*Job, error) {
+	norm, key, timeout, err := s.resolve(spec)
+	if err != nil {
+		return nil, err
+	}
+	// Only a worker builds the config (app plus power trace); hits never do.
+	compute := func(ctx context.Context) (*ehs.Result, error) {
+		cfg, err := norm.Config()
+		if err != nil {
+			return nil, err
+		}
+		return ehs.RunContext(ctx, cfg)
+	}
+	return s.submit(&norm, key, compute, timeout, 0, s.submitRecord(&norm, key))
+}
+
+// resolve validates a spec with a single Normalize and returns its canonical
+// form, content key and timeout. Normalize rejects every spec Config could
+// not build, so a job that passed resolve never fails on its spec.
+func (s *Service) resolve(spec RunSpec) (RunSpec, string, time.Duration, error) {
 	norm, err := spec.Normalize()
-	if err != nil {
-		return nil, s.badSpec(err)
+	key := ""
+	if err == nil {
+		key, err = norm.key()
 	}
-	key, err := norm.Key()
 	if err != nil {
-		return nil, s.badSpec(err)
-	}
-	cfg, err := norm.Config()
-	if err != nil {
-		return nil, s.badSpec(err)
+		return norm, "", 0, s.badSpec(err)
 	}
 	timeout := s.opts.DefaultTimeout
 	if norm.TimeoutSeconds > 0 {
 		timeout = time.Duration(norm.TimeoutSeconds * float64(time.Second))
 	}
-	compute := func(ctx context.Context) (*ehs.Result, error) {
-		return ehs.RunContext(ctx, cfg)
-	}
-	return s.submit(&norm, key, compute, timeout, 0, s.submitRecord(&norm, key))
+	return norm, key, timeout, nil
 }
 
 // SubmitBatch schedules many runs, stopping at the first invalid spec. Jobs
@@ -767,16 +780,9 @@ func (s *Service) submitLocked(spec *RunSpec, key string, compute func(context.C
 	switch {
 	case e != nil && e.ready:
 		s.lru.MoveToFront(e.elem)
-		job.state = StateDone
-		job.cached = true
-		job.res = e.res
-		job.finished = job.created
 		job.trace.Begin(obs.PhaseCached, job.created)
-		job.trace.End(job.created)
 		s.met.jobsCached++
-		close(job.done)
-		job.cancel()
-		s.retainLocked(job)
+		s.finishOneLocked(job, e.res, nil, true, job.created)
 	case e != nil:
 		if ierr := fpCoalesce.FireErr(); ierr != nil {
 			delete(s.jobs, job.id)
@@ -918,6 +924,7 @@ func (s *Service) runJob(job *Job) {
 	job.state = StateRunning
 	job.started = time.Now()
 	job.attempts = 1
+	compute := job.compute
 	s.met.queueNanos += job.started.Sub(job.created).Nanoseconds()
 	s.met.queueCount++
 	s.met.queueSecondsHist.Observe(job.started.Sub(job.created).Seconds())
@@ -957,7 +964,7 @@ func (s *Service) runJob(job *Job) {
 			if ierr := fpCompute.Fire(ctx); ierr != nil {
 				return nil, ierr
 			}
-			res, err := job.compute(ctx)
+			res, err := compute(ctx)
 			if err == nil {
 				if ierr := fpCacheInsert.Fire(ctx); ierr != nil {
 					return nil, ierr
@@ -1124,19 +1131,23 @@ func (s *Service) finishJobLocked(job *Job, res *ehs.Result, err error, now time
 		}
 	}
 	s.finishOneLocked(job, res, err, false, now)
-	job.cancel() // idempotent; also releases a detached owner's context once its computation returns
+	job.cancel()      // idempotent; also releases a detached owner's context once its computation returns
+	job.compute = nil // an owner Cancel resolved kept it while it computed for its waiters
 	return settleKey
 }
 
 // finishOneLocked moves a single job to a terminal state — result fields,
 // done channel, context, retention — without touching its cache entry.
 // Already-terminal jobs are left untouched, so a job resolved individually
-// can never have its done channel closed twice. Callers hold s.mu.
+// can never have its done channel closed twice. Dropping the compute closure
+// leaves a retained job holding its result, not what the caller captured.
+// Callers hold s.mu.
 func (s *Service) finishOneLocked(job *Job, res *ehs.Result, err error, cached bool, now time.Time) {
 	if terminalState(job.state) {
 		return
 	}
 	job.res, job.err, job.cached, job.finished = res, err, cached, now
+	job.compute = nil
 	switch {
 	case err == nil:
 		job.state = StateDone

@@ -657,3 +657,83 @@ func TestJobRetentionPruning(t *testing.T) {
 		t.Fatalf("retained %d jobs, want 4", got)
 	}
 }
+
+// hasCompute reports, under the service lock, whether job still holds its
+// compute closure.
+func hasCompute(svc *Service, job *Job) bool {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return job.compute != nil
+}
+
+// TestSettledJobDropsCompute: a retained job keeps its ID and result, not
+// its compute closure (and whatever that captured). The exception is a
+// canceled owner whose computation is still running for coalesced waiters:
+// the worker may yet retry it, so its closure lives until the computation
+// returns.
+func TestSettledJobDropsCompute(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	ran, err := svc.Submit(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ran.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := svc.Submit(quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []*Job{ran, hit} {
+		if hasCompute(svc, job) {
+			t.Errorf("settled job %s still holds its compute closure", job.ID())
+		}
+	}
+
+	release := make(chan struct{})
+	block := func(ctx context.Context) (*ehs.Result, error) {
+		select {
+		case <-release:
+			return &ehs.Result{Completed: true}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	owner, err := svc.submit(nil, "shared", block, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(2 * time.Second)
+	for {
+		if st, err := svc.Job(owner.ID()); err == nil && st.State == StateRunning {
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatal("owner never started running")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	waiter, err := svc.submit(nil, "shared", block, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Cancel(owner.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("owner err = %v, want context.Canceled", err)
+	}
+	if !hasCompute(svc, owner) {
+		t.Fatal("canceled owner still computing for a waiter lost its compute closure")
+	}
+	close(release)
+	if _, err := waiter.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []*Job{owner, waiter} {
+		if hasCompute(svc, job) {
+			t.Errorf("job %s still holds its compute closure after the computation returned", job.ID())
+		}
+	}
+}

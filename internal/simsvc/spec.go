@@ -111,11 +111,11 @@ func (sp RunSpec) Normalize() (RunSpec, error) {
 		return out, fmt.Errorf("simsvc: %w", err)
 	}
 
-	trace, err := powertrace.ByName(out.Trace, out.Seed)
+	trace, _, err := powertrace.Lookup(out.Trace)
 	if err != nil {
 		return out, fmt.Errorf("simsvc: %w", err)
 	}
-	out.Trace = trace.Name
+	out.Trace = trace
 
 	if sp.Codec != "" {
 		codec, err := compress.ByName(sp.Codec)
@@ -127,10 +127,11 @@ func (sp RunSpec) Normalize() (RunSpec, error) {
 		return out, fmt.Errorf("simsvc: acc requires a codec")
 	}
 
-	out.Design, err = canonicalDesign(sp.Design)
+	design, err := designByName(sp.Design)
 	if err != nil {
 		return out, err
 	}
+	out.Design = design.String()
 
 	if sp.Kagura {
 		if out.Policy == "" {
@@ -168,26 +169,17 @@ func (sp RunSpec) Normalize() (RunSpec, error) {
 	return out, nil
 }
 
-func canonicalDesign(name string) (string, error) {
-	switch strings.ToLower(name) {
-	case "", "nvsramcache":
-		return ehs.NVSRAMCache.String(), nil
-	case "nvmr":
-		return ehs.NvMR.String(), nil
-	case "sweepcache":
-		return ehs.SweepCache.String(), nil
+// designByName resolves a design name case-insensitively ("" ⇒ NVSRAMCache).
+func designByName(name string) (ehs.Design, error) {
+	if name == "" {
+		return ehs.NVSRAMCache, nil
 	}
-	return "", fmt.Errorf("simsvc: unknown design %q", name)
-}
-
-func designByName(name string) ehs.Design {
-	switch name {
-	case ehs.NvMR.String():
-		return ehs.NvMR
-	case ehs.SweepCache.String():
-		return ehs.SweepCache
+	for _, d := range ehs.Designs() {
+		if strings.EqualFold(name, d.String()) {
+			return d, nil
+		}
 	}
-	return ehs.NVSRAMCache
+	return 0, fmt.Errorf("simsvc: unknown design %q", name)
 }
 
 func canonicalTrigger(name string) (string, error) {
@@ -208,8 +200,13 @@ func (sp RunSpec) Key() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	norm.TimeoutSeconds = 0
-	blob, err := json.Marshal(norm)
+	return norm.key()
+}
+
+// key is Key for a spec that is already normalized.
+func (sp RunSpec) key() (string, error) {
+	sp.TimeoutSeconds = 0
+	blob, err := json.Marshal(sp)
 	if err != nil {
 		return "", err
 	}
@@ -237,7 +234,9 @@ func (sp RunSpec) Config() (ehs.Config, error) {
 		return ehs.Config{}, err
 	}
 	cfg := ehs.Default(app, trace)
-	cfg.Design = designByName(norm.Design)
+	if cfg.Design, err = designByName(norm.Design); err != nil {
+		return ehs.Config{}, err
+	}
 	if norm.Codec != "" {
 		codec, err := compress.ByName(norm.Codec)
 		if err != nil {

@@ -64,25 +64,14 @@ func (s *Service) SubmitBatchFork(specs []RunSpec, fork *ForkPoint) ([]*Job, err
 	if fork.Base != nil {
 		baseSpec = *fork.Base
 	}
-	base, err := baseSpec.Normalize()
+	base, baseKey, _, err := s.resolve(baseSpec)
 	if err != nil {
-		return nil, s.badSpec(fmt.Errorf("simsvc: forkPoint base: %w", err))
-	}
-	baseKey, err := base.Key()
-	if err != nil {
-		return nil, s.badSpec(fmt.Errorf("simsvc: forkPoint base: %w", err))
-	}
-	baseCfg, err := base.Config()
-	if err != nil {
-		return nil, s.badSpec(fmt.Errorf("simsvc: forkPoint base: %w", err))
-	}
-	if baseCfg.Oracle != nil {
-		return nil, s.badSpec(fmt.Errorf("simsvc: forkPoint base cannot be an oracle run"))
+		return nil, fmt.Errorf("simsvc: forkPoint base: %w", err)
 	}
 
 	jobs := make([]*Job, 0, len(specs))
 	for i, spec := range specs {
-		job, err := s.submitFork(spec, base, baseKey, baseCfg, fork.Cycles)
+		job, err := s.submitFork(spec, base, baseKey, fork.Cycles)
 		if err != nil {
 			return jobs, fmt.Errorf("simsvc: batch[%d]: %w", i, err)
 		}
@@ -92,34 +81,26 @@ func (s *Service) SubmitBatchFork(specs []RunSpec, fork *ForkPoint) ([]*Job, err
 }
 
 // submitFork schedules one warm-started run.
-func (s *Service) submitFork(spec RunSpec, base RunSpec, baseKey string, baseCfg ehs.Config, cycles int64) (*Job, error) {
-	norm, err := spec.Normalize()
+func (s *Service) submitFork(spec RunSpec, base RunSpec, baseKey string, cycles int64) (*Job, error) {
+	norm, coldKey, timeout, err := s.resolve(spec)
 	if err != nil {
-		return nil, s.badSpec(err)
-	}
-	coldKey, err := norm.Key()
-	if err != nil {
-		return nil, s.badSpec(err)
-	}
-	cfg, err := norm.Config()
-	if err != nil {
-		return nil, s.badSpec(err)
+		return nil, err
 	}
 	key := coldKey
 	if coldKey != baseKey {
 		key = forkKey(baseKey, cycles, coldKey)
 	}
-	timeout := s.opts.DefaultTimeout
-	if norm.TimeoutSeconds > 0 {
-		timeout = time.Duration(norm.TimeoutSeconds * float64(time.Second))
-	}
 	compute := func(ctx context.Context) (*ehs.Result, error) {
+		cfg, err := norm.Config()
+		if err != nil {
+			return nil, err
+		}
 		// The job's trace rides the context (obs.WithTrace in runJob): split
 		// the compute attempt into a warm-start span — computing or waiting
 		// for the snapshot — and the simulation proper.
 		tr := obs.TraceFrom(ctx)
 		tr.Begin(obs.PhaseWarmStart, time.Now())
-		snap, err := s.warmSnapshot(ctx, baseCfg, baseKey, cycles)
+		snap, err := s.warmSnapshot(ctx, base, baseKey, cycles)
 		if err == nil {
 			err = fpWarmFork.Fire(ctx)
 		}
@@ -160,12 +141,12 @@ func forkKey(baseKey string, cycles int64, coldKey string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// warmSnapshot returns the base config's snapshot at the fork cycle,
+// warmSnapshot returns the base spec's snapshot at the fork cycle,
 // computing it at most once per key while concurrent requests wait
 // (singleflight). A failed computation clears the slot; a waiter that
 // observes the failure retries as the new owner under its own context, so
 // one canceled job cannot poison the batch.
-func (s *Service) warmSnapshot(ctx context.Context, baseCfg ehs.Config, baseKey string, cycles int64) (*ehs.Snapshot, error) {
+func (s *Service) warmSnapshot(ctx context.Context, base RunSpec, baseKey string, cycles int64) (*ehs.Snapshot, error) {
 	k := warmKey{baseKey: baseKey, cycles: cycles}
 	for {
 		s.mu.Lock()
@@ -197,7 +178,12 @@ func (s *Service) warmSnapshot(ctx context.Context, baseCfg ehs.Config, baseKey 
 		s.met.warmMisses++
 		s.mu.Unlock()
 
-		if snap, blob, ok := s.storeGetSnapshot(baseCfg, baseKey, cycles); ok {
+		// Only the owner of a snapshot miss builds the base config; hits and
+		// waiters above never do.
+		baseCfg, err := base.Config()
+		if err != nil {
+			e.err = err
+		} else if snap, blob, ok := s.storeGetSnapshot(baseCfg, baseKey, cycles); ok {
 			// Persistent-tier hit: a previous run (or process) already paid
 			// for this prefix. Book its wire size like a fresh snapshot.
 			e.snap = snap
