@@ -43,7 +43,7 @@ import (
 
 	"kagura"
 	"kagura/internal/campaign"
-	"kagura/internal/ckpt"
+	"kagura/internal/frame"
 )
 
 func main() {
@@ -372,5 +372,5 @@ func writeOutput(path string, blob []byte) error {
 		_, err := os.Stdout.Write(blob)
 		return err
 	}
-	return ckpt.WriteFileAtomic(path, blob, 0o644)
+	return frame.WriteFileAtomic(path, blob, 0o644)
 }

@@ -38,6 +38,7 @@ import (
 	"kagura"
 	"kagura/internal/ckpt"
 	"kagura/internal/ehs"
+	"kagura/internal/frame"
 	"kagura/internal/journal"
 	"kagura/internal/store"
 )
@@ -155,7 +156,7 @@ func cmdTake(args []string) {
 	fatal(err)
 	// Atomic: a crash mid-write must never leave a truncated checkpoint at
 	// -o, and must not destroy a previous checkpoint already there.
-	fatal(ckpt.WriteFileAtomic(*out, blob, 0o644))
+	fatal(frame.WriteFileAtomic(*out, blob, 0o644))
 
 	fmt.Printf("wrote %s: %d bytes at cycle %d (pos %d", *out, len(blob), snap.Time, snap.Pos)
 	if completed {

@@ -2,39 +2,42 @@
 // deterministic binary format — the on-disk checkpoint that lets a run be
 // taken once, inspected, diffed, and resumed or forked later (DESIGN.md §9).
 //
-// Format (version 1): an 8-byte magic, a little-endian uint16 version, then
-// the snapshot fields in fixed order. All integers are little-endian and
-// fixed-width; floats are IEEE-754 bit patterns (so encode∘decode is the
-// identity on every value, including NaN payloads); slices and strings are
-// length-prefixed. Encoding the same snapshot always yields the same bytes
-// (the NVM block list is address-sorted at capture).
+// Format (version 1): a frame header (8-byte magic, little-endian uint16
+// version), then the snapshot fields in fixed order. All integers are
+// little-endian and fixed-width; floats are IEEE-754 bit patterns (so
+// encode∘decode is the identity on every value, including NaN payloads);
+// slices and strings are length-prefixed. Encoding the same snapshot always
+// yields the same bytes (the NVM block list is address-sorted at capture).
 //
-// Decode is hardened against arbitrary input: every length prefix is checked
-// against the bytes actually remaining before allocation, unknown versions
-// and trailing bytes are errors, and no input can cause a panic (FuzzCkptDecode
-// holds the codec to that). Decoding validates structure only; semantic
-// validation — cache geometry, counter ranges, charge ceilings — happens in
-// Simulator.RestoreSnapshot, which is the only way decoded state reaches a
-// simulation.
+// Decode is hardened against arbitrary input: frame.Reader checks every
+// length prefix against the bytes actually remaining before allocation,
+// unknown versions and trailing bytes are errors, and no input can cause a
+// panic (FuzzCkptDecode holds the codec to that). Decoding validates
+// structure only; semantic validation — cache geometry, counter ranges,
+// charge ceilings — happens in Simulator.RestoreSnapshot, which is the only
+// way decoded state reaches a simulation.
 package ckpt
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"kagura/internal/acc"
 	"kagura/internal/cache"
 	"kagura/internal/ehs"
 	"kagura/internal/faultinject"
+	"kagura/internal/frame"
 	"kagura/internal/kagura"
 	"kagura/internal/nvm"
 )
 
-// fpDecode lets a chaos plan corrupt checkpoint bytes before parsing,
-// exercising Decode's hardening (and the service's degrade-to-cold path)
-// end to end. A no-op unless a plan arms "ckpt.decode".
-var fpDecode = faultinject.Point("ckpt.decode")
+// Fault-injection points on the checkpoint codec. fpEncode fires at the
+// start of Encode, so chaos plans can kill checkpointing upstream of file
+// IO. fpDecode corrupts checkpoint bytes before parsing, exercising Decode's
+// hardening (and the service's degrade-to-cold path) end to end.
+var (
+	fpEncode = faultinject.Point("ckpt.encode")
+	fpDecode = faultinject.Point("ckpt.decode")
+)
 
 // Magic identifies a kagura checkpoint file.
 const Magic = "KAGCKPT\x00"
@@ -59,71 +62,70 @@ func Encode(snap *ehs.Snapshot) ([]byte, error) {
 	if len(snap.ConfigHash) > maxHashLen {
 		return nil, fmt.Errorf("ckpt: config hash is %d bytes, limit %d", len(snap.ConfigHash), maxHashLen)
 	}
-	w := &writer{buf: make([]byte, 0, 1<<16)}
-	w.raw([]byte(Magic))
-	w.u16(Version)
-	w.str(snap.ConfigHash)
+	w := &frame.Writer{Buf: make([]byte, 0, 1<<16)}
+	w.Header(Magic, Version)
+	w.Str(snap.ConfigHash)
 
-	w.i64(snap.Time)
-	w.i64(snap.PoweredCycles)
-	w.i64(snap.Pos)
-	w.i64(snap.LastBoundary)
-	w.i64(snap.CurCommitted)
-	w.i64(snap.CurLoads)
-	w.i64(snap.CurStores)
-	w.i64(snap.CurStartPowered)
-	w.u32(snap.FetchBufBase)
-	w.bool(snap.FetchBufValid)
+	w.I64(snap.Time)
+	w.I64(snap.PoweredCycles)
+	w.I64(snap.Pos)
+	w.I64(snap.LastBoundary)
+	w.I64(snap.CurCommitted)
+	w.I64(snap.CurLoads)
+	w.I64(snap.CurStores)
+	w.I64(snap.CurStartPowered)
+	w.U32(snap.FetchBufBase)
+	w.Bool(snap.FetchBufValid)
 
-	w.result(&snap.Res)
+	writeResult(w, &snap.Res)
 
-	w.f64(snap.Cap.Energy)
-	w.f64(snap.Cap.Leaked)
-	w.f64(snap.Cap.Harvested)
+	w.F64(snap.Cap.Energy)
+	w.F64(snap.Cap.Leaked)
+	w.F64(snap.Cap.Harvested)
 
-	w.u32(uint32(len(snap.Mem.Blocks)))
+	w.U32(uint32(len(snap.Mem.Blocks)))
 	for _, b := range snap.Mem.Blocks {
-		w.u32(b.Addr)
-		w.bytes(b.Data)
+		w.U32(b.Addr)
+		w.Bytes(b.Data)
 	}
-	w.i64(snap.Mem.Reads)
-	w.i64(snap.Mem.Writes)
+	w.I64(snap.Mem.Reads)
+	w.I64(snap.Mem.Writes)
 
-	w.cacheState(&snap.ICache)
-	w.cacheState(&snap.DCache)
+	writeCacheState(w, &snap.ICache)
+	writeCacheState(w, &snap.DCache)
 
-	w.bool(snap.Pred != nil)
+	w.Bool(snap.Pred != nil)
 	if snap.Pred != nil {
-		w.i64(int64(snap.Pred.Counter))
-		w.i64(snap.Pred.AvoidedMisses)
-		w.i64(snap.Pred.PenalizedHits)
+		w.I64(int64(snap.Pred.Counter))
+		w.I64(snap.Pred.AvoidedMisses)
+		w.I64(snap.Pred.PenalizedHits)
 	}
-	w.bool(snap.Kag != nil)
+	w.Bool(snap.Kag != nil)
 	if snap.Kag != nil {
 		k := snap.Kag
-		w.u32(k.RMem)
-		w.u32(k.RPrev)
-		w.u32(k.RThres)
-		w.u32(uint32(k.RAdjust))
-		w.u32(k.REvict)
-		w.i64(int64(k.Counter))
-		w.u16(uint16(k.Mode))
-		w.u32(k.CmLost)
-		w.u32(k.CmMemOps)
-		w.u32(k.RmMemOps)
-		w.u32(uint32(len(k.History)))
+		w.U32(k.RMem)
+		w.U32(k.RPrev)
+		w.U32(k.RThres)
+		w.U32(uint32(k.RAdjust))
+		w.U32(k.REvict)
+		w.I64(int64(k.Counter))
+		w.U16(uint16(k.Mode))
+		w.U32(k.CmLost)
+		w.U32(k.CmMemOps)
+		w.U32(k.RmMemOps)
+		w.U32(uint32(len(k.History)))
 		for _, h := range k.History {
-			w.u32(h)
+			w.U32(h)
 		}
-		w.i64(k.Stats.CyclesSeen)
-		w.i64(k.Stats.RMEntries)
-		w.i64(k.Stats.MemOps)
-		w.i64(k.Stats.MemOpsInRM)
-		w.i64(k.Stats.AdjustApplied)
-		w.i64(k.Stats.ThresholdRaises)
-		w.i64(k.Stats.ThresholdDrops)
+		w.I64(k.Stats.CyclesSeen)
+		w.I64(k.Stats.RMEntries)
+		w.I64(k.Stats.MemOps)
+		w.I64(k.Stats.MemOpsInRM)
+		w.I64(k.Stats.AdjustApplied)
+		w.I64(k.Stats.ThresholdRaises)
+		w.I64(k.Stats.ThresholdDrops)
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // Decode parses a checkpoint. Any malformation — wrong magic, unknown
@@ -131,399 +133,238 @@ func Encode(snap *ehs.Snapshot) ([]byte, error) {
 // error; no input panics.
 func Decode(data []byte) (*ehs.Snapshot, error) {
 	data = fpDecode.CorruptBytes(data)
-	r := &reader{data: data}
-	if magic := r.take(len(Magic)); r.err == nil && string(magic) != Magic {
-		return nil, fmt.Errorf("ckpt: bad magic %q", magic)
-	}
-	if v := r.u16(); r.err == nil && v != Version {
-		return nil, fmt.Errorf("ckpt: unknown format version %d (this build reads version %d)", v, Version)
-	}
+	r := frame.NewReader("ckpt", data)
+	r.Header(Magic, Version, "checkpoint")
 	snap := &ehs.Snapshot{}
-	snap.ConfigHash = r.str(maxHashLen)
+	snap.ConfigHash = r.Str(maxHashLen)
 
-	snap.Time = r.i64()
-	snap.PoweredCycles = r.i64()
-	snap.Pos = r.i64()
-	snap.LastBoundary = r.i64()
-	snap.CurCommitted = r.i64()
-	snap.CurLoads = r.i64()
-	snap.CurStores = r.i64()
-	snap.CurStartPowered = r.i64()
-	snap.FetchBufBase = r.u32()
-	snap.FetchBufValid = r.bool()
+	snap.Time = r.I64()
+	snap.PoweredCycles = r.I64()
+	snap.Pos = r.I64()
+	snap.LastBoundary = r.I64()
+	snap.CurCommitted = r.I64()
+	snap.CurLoads = r.I64()
+	snap.CurStores = r.I64()
+	snap.CurStartPowered = r.I64()
+	snap.FetchBufBase = r.U32()
+	snap.FetchBufValid = r.Bool()
 
-	r.result(&snap.Res)
+	readResult(r, &snap.Res)
 
-	snap.Cap.Energy = r.f64()
-	snap.Cap.Leaked = r.f64()
-	snap.Cap.Harvested = r.f64()
+	snap.Cap.Energy = r.F64()
+	snap.Cap.Leaked = r.F64()
+	snap.Cap.Harvested = r.F64()
 
 	// Each block is at least addr(4) + length prefix(4) bytes.
-	nBlocks := r.count(8)
-	if r.err == nil && nBlocks > 0 {
-		snap.Mem.Blocks = make([]nvm.BlockState, nBlocks)
-		for i := range snap.Mem.Blocks {
-			snap.Mem.Blocks[i].Addr = r.u32()
-			snap.Mem.Blocks[i].Data = r.bytes()
-		}
+	if n := r.Count(8); n > 0 {
+		snap.Mem.Blocks = make([]nvm.BlockState, n)
 	}
-	snap.Mem.Reads = r.i64()
-	snap.Mem.Writes = r.i64()
+	for i := range snap.Mem.Blocks {
+		snap.Mem.Blocks[i].Addr = r.U32()
+		snap.Mem.Blocks[i].Data = r.Bytes()
+	}
+	snap.Mem.Reads = r.I64()
+	snap.Mem.Writes = r.I64()
 
-	r.cacheState(&snap.ICache)
-	r.cacheState(&snap.DCache)
+	readCacheState(r, &snap.ICache)
+	readCacheState(r, &snap.DCache)
 
-	if r.bool() {
+	if r.Bool() {
 		p := &acc.Snapshot{}
-		p.Counter = int(r.i64())
-		p.AvoidedMisses = r.i64()
-		p.PenalizedHits = r.i64()
+		p.Counter = int(r.I64())
+		p.AvoidedMisses = r.I64()
+		p.PenalizedHits = r.I64()
 		snap.Pred = p
 	}
-	if r.bool() {
+	if r.Bool() {
 		k := &kagura.Snapshot{}
-		k.RMem = r.u32()
-		k.RPrev = r.u32()
-		k.RThres = r.u32()
-		k.RAdjust = int32(r.u32())
-		k.REvict = r.u32()
-		k.Counter = int(r.i64())
-		k.Mode = kagura.Mode(r.u16())
-		k.CmLost = r.u32()
-		k.CmMemOps = r.u32()
-		k.RmMemOps = r.u32()
-		nHist := r.count(4)
-		if r.err == nil && nHist > 0 {
-			k.History = make([]uint32, nHist)
-			for i := range k.History {
-				k.History[i] = r.u32()
-			}
+		k.RMem = r.U32()
+		k.RPrev = r.U32()
+		k.RThres = r.U32()
+		k.RAdjust = int32(r.U32())
+		k.REvict = r.U32()
+		k.Counter = int(r.I64())
+		k.Mode = kagura.Mode(r.U16())
+		k.CmLost = r.U32()
+		k.CmMemOps = r.U32()
+		k.RmMemOps = r.U32()
+		if n := r.Count(4); n > 0 {
+			k.History = make([]uint32, n)
 		}
-		k.Stats.CyclesSeen = r.i64()
-		k.Stats.RMEntries = r.i64()
-		k.Stats.MemOps = r.i64()
-		k.Stats.MemOpsInRM = r.i64()
-		k.Stats.AdjustApplied = r.i64()
-		k.Stats.ThresholdRaises = r.i64()
-		k.Stats.ThresholdDrops = r.i64()
+		for i := range k.History {
+			k.History[i] = r.U32()
+		}
+		k.Stats.CyclesSeen = r.I64()
+		k.Stats.RMEntries = r.I64()
+		k.Stats.MemOps = r.I64()
+		k.Stats.MemOpsInRM = r.I64()
+		k.Stats.AdjustApplied = r.I64()
+		k.Stats.ThresholdRaises = r.I64()
+		k.Stats.ThresholdDrops = r.I64()
 		snap.Kag = k
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes after snapshot", len(r.data)-r.off)
+	if err := r.Done("snapshot"); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }
 
-// writer accumulates the encoding. Appends cannot fail.
-type writer struct {
-	buf []byte
+func writeStats(w *frame.Writer, s *cache.Stats) {
+	w.I64(s.Accesses)
+	w.I64(s.Hits)
+	w.I64(s.Misses)
+	w.I64(s.HitsCompressed)
+	w.I64(s.HitsBeyondWays)
+	w.I64(s.Compressions)
+	w.I64(s.Decompressions)
+	w.I64(s.Evictions)
+	w.I64(s.DirtyEvictions)
+	w.I64(s.ShadowHits)
+	w.I64(s.Fills)
+	w.I64(s.FillsCompressed)
+	w.I64(s.DecayEvictions)
+	w.I64(s.PrefetchFills)
 }
 
-func (w *writer) raw(b []byte)  { w.buf = append(w.buf, b...) }
-func (w *writer) u16(v uint16)  { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *writer) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) i64(v int64)   { w.u64(uint64(v)) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	w.buf = append(w.buf, b)
-}
-func (w *writer) bytes(b []byte) { w.u32(uint32(len(b))); w.raw(b) }
-func (w *writer) str(s string)   { w.bytes([]byte(s)) }
-
-func (w *writer) stats(s *cache.Stats) {
-	w.i64(s.Accesses)
-	w.i64(s.Hits)
-	w.i64(s.Misses)
-	w.i64(s.HitsCompressed)
-	w.i64(s.HitsBeyondWays)
-	w.i64(s.Compressions)
-	w.i64(s.Decompressions)
-	w.i64(s.Evictions)
-	w.i64(s.DirtyEvictions)
-	w.i64(s.ShadowHits)
-	w.i64(s.Fills)
-	w.i64(s.FillsCompressed)
-	w.i64(s.DecayEvictions)
-	w.i64(s.PrefetchFills)
-}
-
-func (w *writer) result(res *ehs.Result) {
-	w.bool(res.Completed)
-	w.f64(res.ExecSeconds)
-	w.i64(res.Committed)
-	w.i64(res.Executed)
-	w.i64(res.PowerCycles)
-	w.f64(res.Energy.Compress)
-	w.f64(res.Energy.Decompress)
-	w.f64(res.Energy.CacheOther)
-	w.f64(res.Energy.Memory)
-	w.f64(res.Energy.Checkpoint)
-	w.f64(res.Energy.Others)
-	w.stats(&res.ICache)
-	w.stats(&res.DCache)
-	w.i64(res.Compressions)
-	w.i64(res.Decompressions)
-	w.i64(res.KaguraRMEntries)
-	w.i64(res.Prefetches)
-	w.u32(uint32(len(res.Cycles)))
+func writeResult(w *frame.Writer, res *ehs.Result) {
+	w.Bool(res.Completed)
+	w.F64(res.ExecSeconds)
+	w.I64(res.Committed)
+	w.I64(res.Executed)
+	w.I64(res.PowerCycles)
+	w.F64(res.Energy.Compress)
+	w.F64(res.Energy.Decompress)
+	w.F64(res.Energy.CacheOther)
+	w.F64(res.Energy.Memory)
+	w.F64(res.Energy.Checkpoint)
+	w.F64(res.Energy.Others)
+	writeStats(w, &res.ICache)
+	writeStats(w, &res.DCache)
+	w.I64(res.Compressions)
+	w.I64(res.Decompressions)
+	w.I64(res.KaguraRMEntries)
+	w.I64(res.Prefetches)
+	w.U32(uint32(len(res.Cycles)))
 	for _, c := range res.Cycles {
-		w.i64(c.Committed)
-		w.i64(c.Loads)
-		w.i64(c.Stores)
-		w.i64(c.Cycles)
+		w.I64(c.Committed)
+		w.I64(c.Loads)
+		w.I64(c.Stores)
+		w.I64(c.Cycles)
 	}
-	w.i64(res.CheckpointedBlocks)
-	w.f64(res.CapacitorLeakJoules)
+	w.I64(res.CheckpointedBlocks)
+	w.F64(res.CapacitorLeakJoules)
 }
 
-func (w *writer) cacheState(st *cache.State) {
-	w.u32(uint32(len(st.Sets)))
+func writeCacheState(w *frame.Writer, st *cache.State) {
+	w.U32(uint32(len(st.Sets)))
 	for _, set := range st.Sets {
-		w.u16(uint16(len(set.Lines)))
+		w.U16(uint16(len(set.Lines)))
 		for _, ln := range set.Lines {
-			w.bool(ln.Valid)
-			w.u32(ln.Addr)
-			w.bool(ln.Dirty)
-			w.bool(ln.Compressed)
-			w.u16(uint16(ln.Segments))
-			w.i64(ln.LastUse)
-			w.bytes(ln.Data)
+			w.Bool(ln.Valid)
+			w.U32(ln.Addr)
+			w.Bool(ln.Dirty)
+			w.Bool(ln.Compressed)
+			w.U16(uint16(ln.Segments))
+			w.I64(ln.LastUse)
+			w.Bytes(ln.Data)
 		}
-		w.u16(uint16(len(set.Order)))
+		w.U16(uint16(len(set.Order)))
 		for _, idx := range set.Order {
-			w.u16(uint16(idx))
+			w.U16(uint16(idx))
 		}
-		w.u16(uint16(len(set.Shadow)))
+		w.U16(uint16(len(set.Shadow)))
 		for _, addr := range set.Shadow {
-			w.u32(addr)
+			w.U32(addr)
 		}
 	}
-	w.stats(&st.Stats)
-	w.u64(st.VictimSeed)
+	writeStats(w, &st.Stats)
+	w.U64(st.VictimSeed)
 }
 
-// reader parses the encoding, carrying the first error; every accessor is a
-// no-op once err is set, so decode logic reads straight-line.
-type reader struct {
-	data []byte
-	off  int
-	err  error
+func readStats(r *frame.Reader, s *cache.Stats) {
+	s.Accesses = r.I64()
+	s.Hits = r.I64()
+	s.Misses = r.I64()
+	s.HitsCompressed = r.I64()
+	s.HitsBeyondWays = r.I64()
+	s.Compressions = r.I64()
+	s.Decompressions = r.I64()
+	s.Evictions = r.I64()
+	s.DirtyEvictions = r.I64()
+	s.ShadowHits = r.I64()
+	s.Fills = r.I64()
+	s.FillsCompressed = r.I64()
+	s.DecayEvictions = r.I64()
+	s.PrefetchFills = r.I64()
 }
 
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("ckpt: "+format+" at offset %d", append(args, r.off)...)
-	}
-}
-
-func (r *reader) remaining() int { return len(r.data) - r.off }
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.remaining() < n {
-		r.fail("truncated: need %d bytes, have %d", n, r.remaining())
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) bool() bool {
-	b := r.take(1)
-	if b == nil {
-		return false
-	}
-	if b[0] > 1 {
-		r.fail("invalid boolean byte %#x", b[0])
-		return false
-	}
-	return b[0] == 1
-}
-
-// count reads a u32 element count and bounds it by the bytes remaining: a
-// hostile prefix can never force an allocation larger than the input itself.
-func (r *reader) count(minElemBytes int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if n*minElemBytes > r.remaining() {
-		r.fail("count %d exceeds remaining input (%d bytes, ≥%d each)", n, r.remaining(), minElemBytes)
-		return 0
-	}
-	return n
-}
-
-// count16 is count for u16-prefixed collections.
-func (r *reader) count16(minElemBytes int) int {
-	n := int(r.u16())
-	if r.err != nil {
-		return 0
-	}
-	if n*minElemBytes > r.remaining() {
-		r.fail("count %d exceeds remaining input (%d bytes, ≥%d each)", n, r.remaining(), minElemBytes)
-		return 0
-	}
-	return n
-}
-
-func (r *reader) bytes() []byte {
-	n := r.count(1)
-	b := r.take(n)
-	if b == nil || n == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func (r *reader) str(maxLen int) string {
-	n := r.count(1)
-	if r.err == nil && n > maxLen {
-		r.fail("string length %d exceeds limit %d", n, maxLen)
-	}
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (r *reader) stats(s *cache.Stats) {
-	s.Accesses = r.i64()
-	s.Hits = r.i64()
-	s.Misses = r.i64()
-	s.HitsCompressed = r.i64()
-	s.HitsBeyondWays = r.i64()
-	s.Compressions = r.i64()
-	s.Decompressions = r.i64()
-	s.Evictions = r.i64()
-	s.DirtyEvictions = r.i64()
-	s.ShadowHits = r.i64()
-	s.Fills = r.i64()
-	s.FillsCompressed = r.i64()
-	s.DecayEvictions = r.i64()
-	s.PrefetchFills = r.i64()
-}
-
-func (r *reader) result(res *ehs.Result) {
-	res.Completed = r.bool()
-	res.ExecSeconds = r.f64()
-	res.Committed = r.i64()
-	res.Executed = r.i64()
-	res.PowerCycles = r.i64()
-	res.Energy.Compress = r.f64()
-	res.Energy.Decompress = r.f64()
-	res.Energy.CacheOther = r.f64()
-	res.Energy.Memory = r.f64()
-	res.Energy.Checkpoint = r.f64()
-	res.Energy.Others = r.f64()
-	r.stats(&res.ICache)
-	r.stats(&res.DCache)
-	res.Compressions = r.i64()
-	res.Decompressions = r.i64()
-	res.KaguraRMEntries = r.i64()
-	res.Prefetches = r.i64()
+func readResult(r *frame.Reader, res *ehs.Result) {
+	res.Completed = r.Bool()
+	res.ExecSeconds = r.F64()
+	res.Committed = r.I64()
+	res.Executed = r.I64()
+	res.PowerCycles = r.I64()
+	res.Energy.Compress = r.F64()
+	res.Energy.Decompress = r.F64()
+	res.Energy.CacheOther = r.F64()
+	res.Energy.Memory = r.F64()
+	res.Energy.Checkpoint = r.F64()
+	res.Energy.Others = r.F64()
+	readStats(r, &res.ICache)
+	readStats(r, &res.DCache)
+	res.Compressions = r.I64()
+	res.Decompressions = r.I64()
+	res.KaguraRMEntries = r.I64()
+	res.Prefetches = r.I64()
 	// Each cycle record is 4×8 bytes.
-	n := r.count(32)
-	if r.err == nil && n > 0 {
+	if n := r.Count(32); n > 0 {
 		res.Cycles = make([]ehs.CycleRecord, n)
-		for i := range res.Cycles {
-			res.Cycles[i].Committed = r.i64()
-			res.Cycles[i].Loads = r.i64()
-			res.Cycles[i].Stores = r.i64()
-			res.Cycles[i].Cycles = r.i64()
-		}
 	}
-	res.CheckpointedBlocks = r.i64()
-	res.CapacitorLeakJoules = r.f64()
+	for i := range res.Cycles {
+		res.Cycles[i].Committed = r.I64()
+		res.Cycles[i].Loads = r.I64()
+		res.Cycles[i].Stores = r.I64()
+		res.Cycles[i].Cycles = r.I64()
+	}
+	res.CheckpointedBlocks = r.I64()
+	res.CapacitorLeakJoules = r.F64()
 }
 
-func (r *reader) cacheState(st *cache.State) {
-	// Each set carries at least three u16 prefixes.
-	nSets := r.count(6)
-	if r.err != nil || nSets == 0 {
-		return
+func readCacheState(r *frame.Reader, st *cache.State) {
+	// Counts are 0 once the reader has failed, so no allocation follows an
+	// error. Each set carries at least three u16 prefixes.
+	if nSets := r.Count(6); nSets > 0 {
+		st.Sets = make([]cache.SetState, nSets)
 	}
-	st.Sets = make([]cache.SetState, nSets)
 	for si := range st.Sets {
 		set := &st.Sets[si]
 		// Each line is at least 1+4+1+1+2+8+4 = 21 bytes.
-		nLines := r.count16(21)
-		if r.err != nil {
-			return
-		}
-		if nLines > 0 {
+		if nLines := r.Count16(21); nLines > 0 {
 			set.Lines = make([]cache.LineState, nLines)
-			for li := range set.Lines {
-				ln := &set.Lines[li]
-				ln.Valid = r.bool()
-				ln.Addr = r.u32()
-				ln.Dirty = r.bool()
-				ln.Compressed = r.bool()
-				ln.Segments = int(r.u16())
-				ln.LastUse = r.i64()
-				ln.Data = r.bytes()
-			}
 		}
-		nOrder := r.count16(2)
-		if r.err != nil {
-			return
+		for li := range set.Lines {
+			ln := &set.Lines[li]
+			ln.Valid = r.Bool()
+			ln.Addr = r.U32()
+			ln.Dirty = r.Bool()
+			ln.Compressed = r.Bool()
+			ln.Segments = int(r.U16())
+			ln.LastUse = r.I64()
+			ln.Data = r.Bytes()
 		}
-		if nOrder > 0 {
+		if nOrder := r.Count16(2); nOrder > 0 {
 			set.Order = make([]int, nOrder)
-			for i := range set.Order {
-				set.Order[i] = int(r.u16())
-			}
 		}
-		nShadow := r.count16(4)
-		if r.err != nil {
-			return
+		for i := range set.Order {
+			set.Order[i] = int(r.U16())
 		}
-		if nShadow > 0 {
+		if nShadow := r.Count16(4); nShadow > 0 {
 			set.Shadow = make([]uint32, nShadow)
-			for i := range set.Shadow {
-				set.Shadow[i] = r.u32()
-			}
+		}
+		for i := range set.Shadow {
+			set.Shadow[i] = r.U32()
 		}
 	}
-	r.stats(&st.Stats)
-	st.VictimSeed = r.u64()
+	readStats(r, &st.Stats)
+	st.VictimSeed = r.U64()
 }

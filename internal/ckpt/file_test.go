@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kagura/internal/faultinject"
+	"kagura/internal/frame"
 )
 
 // armPlan enables a fault plan for one test, disarming on cleanup.
@@ -38,13 +39,13 @@ func TestWriteFileAtomicWritesAndReplaces(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.ckpt")
 
-	if err := WriteFileAtomic(path, []byte("first"), 0o644); err != nil {
+	if err := frame.WriteFileAtomic(path, []byte("first"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); string(got) != "first" {
 		t.Fatalf("content = %q, want %q", got, "first")
 	}
-	if err := WriteFileAtomic(path, []byte("second"), 0o644); err != nil {
+	if err := frame.WriteFileAtomic(path, []byte("second"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); string(got) != "second" {
@@ -61,7 +62,7 @@ func TestWriteFileAtomicWritesAndReplaces(t *testing.T) {
 func TestWriteFileAtomicFaultPreservesOldFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.ckpt")
-	if err := WriteFileAtomic(path, []byte("old"), 0o644); err != nil {
+	if err := frame.WriteFileAtomic(path, []byte("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,7 +73,7 @@ func TestWriteFileAtomicFaultPreservesOldFile(t *testing.T) {
 		{Point: "ckpt.write", Kind: faultinject.KindError, Nth: 2},
 	}})
 
-	err := WriteFileAtomic(path, []byte("new"), 0o644)
+	err := frame.WriteFileAtomic(path, []byte("new"), 0o644)
 	if err == nil {
 		t.Fatal("injected pre-rename fault did not surface")
 	}
@@ -92,7 +93,7 @@ func TestWriteFileAtomicFaultPreservesOldFile(t *testing.T) {
 func TestWriteFileAtomicFaultBeforeWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.ckpt")
-	if err := WriteFileAtomic(path, []byte("old"), 0o644); err != nil {
+	if err := frame.WriteFileAtomic(path, []byte("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +101,7 @@ func TestWriteFileAtomicFaultBeforeWrite(t *testing.T) {
 		{Point: "ckpt.write", Kind: faultinject.KindError, Nth: 1},
 	}})
 
-	if err := WriteFileAtomic(path, []byte("new"), 0o644); err == nil {
+	if err := frame.WriteFileAtomic(path, []byte("new"), 0o644); err == nil {
 		t.Fatal("injected pre-write fault did not surface")
 	}
 	if got, _ := os.ReadFile(path); string(got) != "old" {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kagura/internal/ehs"
+	"kagura/internal/frame"
 )
 
 // ResultMagic identifies a serialized standalone result (the payload of a
@@ -17,31 +18,22 @@ func EncodeResult(res *ehs.Result) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("ckpt: nil result")
 	}
-	w := &writer{buf: make([]byte, 0, 1<<10)}
-	w.raw([]byte(ResultMagic))
-	w.u16(Version)
-	w.result(res)
-	return w.buf, nil
+	w := &frame.Writer{Buf: make([]byte, 0, 1<<10)}
+	w.Header(ResultMagic, Version)
+	writeResult(w, res)
+	return w.Buf, nil
 }
 
 // DecodeResult parses a standalone result. Like Decode, it is hardened
 // against arbitrary input: truncation, oversized length prefixes, and
 // trailing bytes are errors; no input panics.
 func DecodeResult(data []byte) (*ehs.Result, error) {
-	r := &reader{data: data}
-	if magic := r.take(len(ResultMagic)); r.err == nil && string(magic) != ResultMagic {
-		return nil, fmt.Errorf("ckpt: bad result magic %q", magic)
-	}
-	if v := r.u16(); r.err == nil && v != Version {
-		return nil, fmt.Errorf("ckpt: unknown result version %d (this build reads version %d)", v, Version)
-	}
+	r := frame.NewReader("ckpt", data)
+	r.Header(ResultMagic, Version, "result")
 	res := &ehs.Result{}
-	r.result(res)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes after result", len(r.data)-r.off)
+	readResult(r, res)
+	if err := r.Done("result"); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

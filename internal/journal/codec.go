@@ -14,9 +14,11 @@
 //	  checksum  4  bytes  CRC-32C (Castagnoli) over the payload
 //	  payload   paylen bytes, canonical JSON (one Record)
 //
-// DecodeRecord mirrors store.DecodeEntry's hardening: every length prefix is
-// bounded by the bytes actually remaining before any allocation, unknown
-// type/version values are errors, and no input can cause a panic
+// The segment header is a frame header and each record after its type byte
+// is a frame block, so DecodeRecord has frame.Reader's hardening: every
+// length prefix is bounded by the bytes actually remaining before any
+// allocation, unknown type/version values are errors, and no input can cause
+// a panic
 // (FuzzJournalDecode holds the codec to that). The payload must additionally
 // be *canonical* — byte-equal to what EncodeRecord would produce for the
 // decoded record — which makes decode∘encode a fixed point and keeps
@@ -25,10 +27,10 @@ package journal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+
+	"kagura/internal/frame"
 )
 
 // Magic identifies a kagura journal segment file.
@@ -48,14 +50,9 @@ const MaxRecordBytes = 4 << 20
 // headerLen is the segment header size; frameLen is the per-record framing
 // overhead before the payload.
 const (
-	headerLen = len(Magic) + 2
-	frameLen  = 1 + 4 + 4
+	headerLen = frame.HeaderLen
+	frameLen  = 1 + frame.BlockOverhead
 )
-
-// crcTable is the Castagnoli polynomial table, matching the store tier's
-// choice: CRC-32C has hardware support on common CPUs and reliably catches
-// the bit-flip corruption a torn write or chaos plan produces.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Type tags what a record means to replay.
 type Type uint8
@@ -193,25 +190,17 @@ func (r *Record) Validate() error {
 
 // EncodeHeader returns the 10-byte segment header.
 func EncodeHeader() []byte {
-	buf := make([]byte, 0, headerLen)
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	return buf
+	w := &frame.Writer{Buf: make([]byte, 0, headerLen)}
+	w.Header(Magic, Version)
+	return w.Buf
 }
 
 // DecodeHeader validates a segment header prefix. data may hold the whole
 // segment; only the first headerLen bytes are examined.
 func DecodeHeader(data []byte) error {
-	if len(data) < headerLen {
-		return fmt.Errorf("journal: truncated header: %d bytes, need %d", len(data), headerLen)
-	}
-	if string(data[:len(Magic)]) != Magic {
-		return fmt.Errorf("journal: bad magic %q", data[:len(Magic)])
-	}
-	if v := binary.LittleEndian.Uint16(data[len(Magic):headerLen]); v != Version {
-		return fmt.Errorf("journal: unknown segment version %d (this build reads version %d)", v, Version)
-	}
-	return nil
+	r := frame.NewReader("journal", data)
+	r.Header(Magic, Version, "segment")
+	return r.Err()
 }
 
 // EncodeRecord frames a record: type byte, payload length, CRC-32C, then the
@@ -229,12 +218,10 @@ func EncodeRecord(rec Record) ([]byte, error) {
 	if len(payload) > MaxRecordBytes {
 		return nil, fmt.Errorf("journal: record payload %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
 	}
-	buf := make([]byte, 0, frameLen+len(payload))
-	buf = append(buf, byte(rec.Type))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
-	return buf, nil
+	w := &frame.Writer{Buf: make([]byte, 0, frameLen+len(payload))}
+	w.U8(byte(rec.Type))
+	w.Block(payload)
+	return w.Buf, nil
 }
 
 // DecodeRecord parses one record from the front of data, returning the
@@ -243,24 +230,14 @@ func EncodeRecord(rec Record) ([]byte, error) {
 // non-canonical payload — is an error; no input panics.
 func DecodeRecord(data []byte) (Record, int, error) {
 	var rec Record
-	if len(data) < frameLen {
-		return rec, 0, fmt.Errorf("journal: truncated frame: %d bytes, need %d", len(data), frameLen)
+	r := frame.NewReader("journal", data)
+	t := Type(r.U8())
+	if r.Err() == nil && !validType(t) {
+		return rec, 0, fmt.Errorf("journal: unknown record type %d", uint8(t))
 	}
-	t := Type(data[0])
-	if !validType(t) {
-		return rec, 0, fmt.Errorf("journal: unknown record type %d", data[0])
-	}
-	payLen := int(binary.LittleEndian.Uint32(data[1:5]))
-	if payLen > MaxRecordBytes {
-		return rec, 0, fmt.Errorf("journal: record payload %d bytes exceeds limit %d", payLen, MaxRecordBytes)
-	}
-	if payLen > len(data)-frameLen {
-		return rec, 0, fmt.Errorf("journal: truncated payload: frame claims %d bytes, segment holds %d", payLen, len(data)-frameLen)
-	}
-	sum := binary.LittleEndian.Uint32(data[5:9])
-	payload := data[frameLen : frameLen+payLen]
-	if got := crc32.Checksum(payload, crcTable); got != sum {
-		return rec, 0, fmt.Errorf("journal: payload checksum %08x does not match frame %08x", got, sum)
+	payload := r.Block(MaxRecordBytes)
+	if err := r.Err(); err != nil {
+		return rec, 0, err
 	}
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
@@ -284,5 +261,5 @@ func DecodeRecord(data []byte) (Record, int, error) {
 	if !bytes.Equal(canon, payload) {
 		return rec, 0, fmt.Errorf("journal: non-canonical record payload")
 	}
-	return rec, frameLen + payLen, nil
+	return rec, r.Offset(), nil
 }

@@ -75,10 +75,10 @@ func FuzzJournalDecode(f *testing.F) {
 	})
 }
 
-// FuzzJournalSegment feeds whole fuzzed segments through the read-only
-// inspection fold: whatever bytes land in a journal file, Inspect (and
-// therefore Open's recovery scan, which shares DecodeRecord) must not panic,
-// and every record it does accept must re-encode canonically.
+// FuzzJournalSegment feeds whole fuzzed segments through scanSegment, the
+// one scan behind both Open's recovery and Inspect: whatever bytes land in a
+// journal file, it must not panic, every record it accepts must re-encode
+// canonically, and the good prefix it reports must be exactly those records.
 func FuzzJournalSegment(f *testing.F) {
 	blobs := fuzzSeedRecords(f)
 	seg := EncodeHeader()
@@ -89,23 +89,16 @@ func FuzzJournalSegment(f *testing.F) {
 	f.Add(seg[:len(seg)-5])
 	f.Add([]byte("KAGSTOR\x00 wrong log"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if DecodeHeader(data) != nil {
-			return
-		}
 		off := headerLen
-		for off < len(data) {
-			rec, n, err := DecodeRecord(data[off:])
-			if err != nil {
-				break
+		end, headerErr, _ := scanSegment(data, func(rec Record) {
+			out, err := EncodeRecord(rec)
+			if err != nil || !bytes.HasPrefix(data[off:], out) {
+				t.Fatalf("record at offset %d not canonical (err %v)", off, err)
 			}
-			if n <= 0 {
-				t.Fatal("DecodeRecord accepted a record of zero bytes")
-			}
-			out, eerr := EncodeRecord(rec)
-			if eerr != nil || !bytes.Equal(out, data[off:off+n]) {
-				t.Fatalf("record at offset %d not canonical (err %v)", off, eerr)
-			}
-			off += n
+			off += len(out)
+		})
+		if headerErr == nil && end != off {
+			t.Fatalf("scan ended at offset %d, records cover %d", end, off)
 		}
 	})
 }

@@ -13,7 +13,7 @@
 // recomputation (replay is idempotent, the content-addressed cache and store
 // tier make it cheap), a lost settle causes one redundant resubmit that
 // immediately coalesces or hits the cache. The segment is fsynced at
-// compaction (via ckpt.WriteFileAtomic) and on Close, so a graceful shutdown
+// compaction (via frame.WriteFileAtomic) and on Close, so a graceful shutdown
 // leaves a fully synced log.
 //
 // Corruption model, mirroring the store tier: a torn or bit-flipped tail is
@@ -31,8 +31,8 @@ import (
 	"path/filepath"
 	"sync"
 
-	"kagura/internal/ckpt"
 	"kagura/internal/faultinject"
+	"kagura/internal/frame"
 )
 
 // Fault points. "journal.replay" is declared by simsvc, which owns the
@@ -126,47 +126,40 @@ func OpenOptions(dir string, opts Options) (*Journal, error) {
 	}
 
 	data, err := os.ReadFile(j.path)
-	fresh := false
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		fresh = true
-	case err != nil:
+	fresh := errors.Is(err, fs.ErrNotExist)
+	if err != nil && !fresh {
 		return nil, fmt.Errorf("journal: read segment: %w", err)
-	case len(data) < headerLen:
-		// A crash between create and header write leaves a short file; it
-		// carries no records, so restart it rather than quarantine it.
-		j.met.tornBytes += int64(len(data))
-		if err := os.Truncate(j.path, 0); err != nil {
-			return nil, fmt.Errorf("journal: truncate torn header: %w", err)
-		}
-		fresh = true
-	case DecodeHeader(data) != nil:
-		// Wrong magic or version: not ours to interpret. Move it aside and
-		// degrade to an empty replay — never crash, never silently delete.
-		j.met.corruptSegments++
-		j.quarantineSegment()
-		fresh = true
-	default:
-		off := headerLen
-		for off < len(data) {
-			rec, n, derr := DecodeRecord(data[off:])
-			if derr != nil {
-				break
-			}
+	}
+	if !fresh {
+		end, headerErr, _ := scanSegment(data, func(rec Record) {
 			j.st.apply(rec)
 			j.met.recovered++
-			off += n
-		}
-		if off < len(data) {
+		})
+		switch {
+		case len(data) < headerLen:
+			// A crash between create and header write leaves a short file; it
+			// carries no records, so restart it rather than quarantine it.
+			j.met.tornBytes += int64(len(data))
+			if err := os.Truncate(j.path, 0); err != nil {
+				return nil, fmt.Errorf("journal: truncate torn header: %w", err)
+			}
+			fresh = true
+		case headerErr != nil:
+			// Wrong magic or version: not ours to interpret. Move it aside and
+			// degrade to an empty replay — never crash, never silently delete.
+			j.met.corruptSegments++
+			frame.Quarantine(filepath.Join(j.dir, quarantineDirName), j.path)
+			fresh = true
+		case end < len(data):
 			// Torn or corrupt tail: everything after the first undecodable
 			// frame is untrustworthy in an append-only log. Cut it off so
 			// new appends land after the last good record.
-			j.met.tornBytes += int64(len(data) - off)
-			if err := os.Truncate(j.path, int64(off)); err != nil {
+			j.met.tornBytes += int64(len(data) - end)
+			if err := os.Truncate(j.path, int64(end)); err != nil {
 				return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 			}
 		}
-		j.size = int64(off)
+		j.size = int64(end)
 	}
 
 	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -185,28 +178,26 @@ func OpenOptions(dir string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// quarantineSegment moves an unreadable segment into the quarantine
-// directory under the first free numbered name, mirroring the store tier's
-// quarantine idiom. Failures degrade to deletion, and failure to delete is
-// ignored: recovery must proceed regardless.
-func (j *Journal) quarantineSegment() {
-	qdir := filepath.Join(j.dir, quarantineDirName)
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		os.Remove(j.path)
-		return
+// scanSegment decodes a segment's header, then its records in file order,
+// handing each to fn, and stops at the first frame that does not decode. It
+// returns the offset just past the last good record, the header error if the
+// header itself is unreadable, and the error at the first bad frame. Open's
+// recovery and Inspect share it, so they can never disagree on where a
+// segment's good prefix ends.
+func scanSegment(data []byte, fn func(Record)) (end int, headerErr, damage error) {
+	if err := DecodeHeader(data); err != nil {
+		return 0, err, nil
 	}
-	for i := 1; i <= 999999; i++ {
-		dst := filepath.Join(qdir, fmt.Sprintf("%06d-%s", i, segmentName))
-		if _, err := os.Stat(dst); err == nil {
-			continue
+	end = headerLen
+	for end < len(data) {
+		rec, n, err := DecodeRecord(data[end:])
+		if err != nil {
+			return end, nil, err
 		}
-		//kagura:allow atomicwrite the source file is already complete (and already corrupt); the move relocates evidence, it does not commit new bytes
-		if err := os.Rename(j.path, dst); err != nil {
-			os.Remove(j.path)
-		}
-		return
+		fn(rec)
+		end += n
 	}
-	os.Remove(j.path)
+	return end, nil, nil
 }
 
 // Append encodes rec, validates it, and appends it to the live segment,
@@ -252,7 +243,7 @@ func (j *Journal) Append(rec Record) error {
 
 // rotateLocked compacts the segment: the folded state is rewritten as a
 // fresh segment (settles and finished campaigns disappear) through
-// ckpt.WriteFileAtomic, so a crash at any instant leaves either the old or
+// frame.WriteFileAtomic, so a crash at any instant leaves either the old or
 // the new segment — never a mix. Rotation failures are absorbed: the
 // oversized segment stays valid, and rotateAbove defers the retry.
 func (j *Journal) rotateLocked() {
@@ -280,7 +271,7 @@ func (j *Journal) rotateLocked() {
 	if int64(len(buf)) >= j.size {
 		return
 	}
-	if err := ckpt.WriteFileAtomic(j.path, buf, 0o644); err != nil {
+	if err := frame.WriteFileAtomic(j.path, buf, 0o644); err != nil {
 		return
 	}
 	// The rename replaced the inode our append fd points at; reopen so new
@@ -385,28 +376,18 @@ func Inspect(dir string) (*Inspection, error) {
 		return nil, fmt.Errorf("journal: read segment: %w", err)
 	}
 	ins.SizeBytes = int64(len(data))
-	if len(data) < headerLen {
-		ins.TornBytes = int64(len(data))
-		ins.HeaderErr = fmt.Errorf("journal: truncated header: %d bytes, need %d", len(data), headerLen)
-		return ins, nil
-	}
-	if herr := DecodeHeader(data); herr != nil {
-		ins.HeaderErr = herr
-		return ins, nil
-	}
 	st := newState()
-	off := headerLen
-	for off < len(data) {
-		rec, n, derr := DecodeRecord(data[off:])
-		if derr != nil {
-			ins.Damage = derr
-			break
-		}
+	end, headerErr, damage := scanSegment(data, func(rec Record) {
 		ins.Records = append(ins.Records, rec)
 		st.apply(rec)
-		off += n
+	})
+	ins.HeaderErr, ins.Damage = headerErr, damage
+	switch {
+	case len(data) < headerLen:
+		ins.TornBytes = int64(len(data))
+	case headerErr == nil:
+		ins.TornBytes = int64(len(data) - end)
 	}
-	ins.TornBytes = int64(len(data) - off)
 	ins.State = st.clone()
 	return ins, nil
 }

@@ -7,7 +7,7 @@ import (
 // AtomicWrite enforces the crash-consistency contract from DESIGN.md §11–12:
 // in the packages that persist durable state (checkpoints, store entries,
 // anything a restart must be able to trust), every file write goes through
-// ckpt.WriteFileAtomic — temp file, fsync, rename — so a crash at any
+// frame.WriteFileAtomic — temp file, fsync, rename — so a crash at any
 // instant leaves either the old complete file or the new complete one.
 //
 // The analyzer bans the raw primitives inside PersistingPackages:
@@ -17,21 +17,22 @@ import (
 //   - os.Create is the same truncate-then-write idiom spelled out;
 //   - os.Rename outside WriteFileAtomic is a commit of bytes that were not
 //     necessarily synced — the two sanctioned renames (WriteFileAtomic's
-//     commit point, the store's quarantine move of an already-complete file)
+//     commit point, frame.Quarantine's move of an already-complete file)
 //     carry //kagura:allow annotations explaining why they are safe.
 //
 // os.CreateTemp and plain reads stay legal; the invariant governs what lands
 // at a durable path, not scratch space.
 var AtomicWrite = &Analyzer{
 	Name: "atomicwrite",
-	Doc:  "require ckpt.WriteFileAtomic for durable writes in persisting packages (no os.WriteFile/os.Create/raw os.Rename)",
+	Doc:  "require frame.WriteFileAtomic for durable writes in persisting packages (no os.WriteFile/os.Create/raw os.Rename)",
 	Run:  runAtomicWrite,
 }
 
 // PersistingPackages lists the packages whose file writes are durable state:
-// the checkpoint codec, the on-disk store, the service that publishes into
-// both, and the CLIs that write checkpoints or campaign reports (a torn
-// report would poison byte-for-byte determinism diffs). cmd/kagura-sim,
+// the shared framing with its atomic write, the checkpoint codec, the
+// on-disk store and journal, the service that publishes into them, and the
+// CLIs that write checkpoints or campaign reports (a torn report would
+// poison byte-for-byte determinism diffs). cmd/kagura-sim,
 // tracegen, and kagura-bench write user-facing report files, not recovery
 // state, and are deliberately absent.
 var PersistingPackages = []string{
@@ -39,6 +40,7 @@ var PersistingPackages = []string{
 	"kagura/cmd/kagura-ckpt",
 	"kagura/cmd/kagura-serve",
 	"kagura/internal/ckpt",
+	"kagura/internal/frame",
 	"kagura/internal/journal",
 	"kagura/internal/simsvc",
 	"kagura/internal/store",
@@ -78,7 +80,7 @@ func runAtomicWrite(pass *Pass) error {
 			}
 			if why, banned := rawWriteFuncs[fn.Name()]; banned {
 				pass.Reportf(call.Pos(), "atomicwrite",
-					"os.%s in persisting package %s %s; write through ckpt.WriteFileAtomic (temp+fsync+rename)",
+					"os.%s in persisting package %s %s; write through frame.WriteFileAtomic (temp+fsync+rename)",
 					fn.Name(), pass.Pkg.Path(), why)
 			}
 			return true

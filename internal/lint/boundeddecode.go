@@ -16,15 +16,16 @@ import (
 // The analyzer taint-tracks within each function body:
 //
 //   - a value is wire-tainted if it comes from a raw little-endian reader
-//     (methods named u8/u16/u32/u64/i64 in a decode package, or
-//     encoding/binary's Uint16/Uint32/Uint64), directly or through
-//     conversions and arithmetic;
+//     (methods named u8/u16/u32/u64/i64 in a decode package, their exported
+//     spellings U8…I64 on the shared frame.Reader, or encoding/binary's
+//     Uint16/Uint32/Uint64), directly or through conversions and arithmetic;
 //   - taint clears when the length flows through a bounding reader helper —
-//     a method named count/count16, or any function whose doc comment
-//     carries the marker "kagura:boundedlen" (exported as a cross-package
-//     fact, so a helper declared in ckpt also sanctions store) — or when the
-//     variable is compared against anything but the constant zero before the
-//     allocation (v < max, v == want, or the guard form v > max { return });
+//     a method named count/count16 (Count/Count16 on frame.Reader), or any
+//     function whose doc comment carries the marker "kagura:boundedlen"
+//     (exported as a cross-package fact, so a helper declared in ckpt also
+//     sanctions store) — or when the variable is compared against anything
+//     but the constant zero before the allocation (v < max, v == want, or
+//     the guard form v > max { return });
 //   - make([]T, n) or make([]T, len, n) with a tainted size is a finding.
 //
 // A lower-bound check alone (n > 0) does not clear taint: it rejects
@@ -53,6 +54,15 @@ var wireReadFuncs = map[string]bool{
 // the remaining input before returning it.
 var boundingFuncs = map[string]bool{
 	"count": true, "count16": true,
+}
+
+// readerMethodName is the name fn is matched under in the tables above:
+// frame.Reader exports the same idiom capitalized (U32, Count).
+func readerMethodName(fn *types.Func) string {
+	if fn.Pkg() != nil && fn.Pkg().Path() == "kagura/internal/frame" && fn.Type().(*types.Signature).Recv() != nil {
+		return strings.ToLower(fn.Name())
+	}
+	return fn.Name()
 }
 
 func runBoundedDecode(pass *Pass) error {
@@ -123,7 +133,7 @@ func checkBoundedDecode(pass *Pass, body *ast.BlockStmt) {
 				for _, size := range n.Args[1:] {
 					if exprWireTainted(pass, tainted, size) {
 						pass.Reportf(size.Pos(), "boundeddecode",
-							"allocation sized by an unbounded wire-read length; a hostile length prefix reaches the allocator — bound it against the remaining input (reader.count idiom) before make")
+							"allocation sized by an unbounded wire-read length; a hostile length prefix reaches the allocator — bound it against the remaining input (frame.Reader.Count idiom) before make")
 					}
 				}
 			}
@@ -167,10 +177,11 @@ func exprWireTainted(pass *Pass, tainted map[types.Object]bool, e ast.Expr) bool
 		if fn == nil {
 			return false
 		}
-		if boundingFuncs[fn.Name()] || len(pass.LookupFact(factBoundedHelper, fn.FullName())) > 0 {
+		name := readerMethodName(fn)
+		if boundingFuncs[name] || len(pass.LookupFact(factBoundedHelper, fn.FullName())) > 0 {
 			return false
 		}
-		if wireReadFuncs[fn.Name()] && fn.Type().(*types.Signature).Recv() != nil {
+		if wireReadFuncs[name] && fn.Type().(*types.Signature).Recv() != nil {
 			return true
 		}
 		if fn.Pkg() != nil && fn.Pkg().Path() == "encoding/binary" {

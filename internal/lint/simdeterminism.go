@@ -42,6 +42,7 @@ var CorePackages = []string{
 	"kagura/internal/ehs",
 	"kagura/internal/experiments",
 	"kagura/internal/faultinject",
+	"kagura/internal/frame",
 	"kagura/internal/journal",
 	"kagura/internal/kagura",
 	"kagura/internal/nvm",

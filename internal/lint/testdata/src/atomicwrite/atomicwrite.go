@@ -8,7 +8,7 @@ package storefixture
 import (
 	"os"
 
-	"kagura/internal/ckpt"
+	"kagura/internal/frame"
 )
 
 func persistRaw(path string, data []byte) error {
@@ -37,7 +37,7 @@ func quarantine(bad, aside string) error {
 }
 
 func persistAtomic(path string, data []byte) error {
-	return ckpt.WriteFileAtomic(path, data, 0o644)
+	return frame.WriteFileAtomic(path, data, 0o644)
 }
 
 func scratch(dir string) (string, error) {

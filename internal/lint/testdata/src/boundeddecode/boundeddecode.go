@@ -1,10 +1,15 @@
 // Package decodefixture is a fixture for the boundeddecode analyzer: a make
 // sized by a raw wire-read length is flagged; lengths bounded by a reader
 // count helper, a marker-approved helper, or an explicit comparison pass. A
-// lower-bound check alone (n > 0) clears nothing.
+// lower-bound check alone (n > 0) clears nothing. The shared frame.Reader's
+// exported methods are held to the same rules as the local reader's.
 package decodefixture
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"kagura/internal/frame"
+)
 
 const maxElems = 1 << 10
 
@@ -57,7 +62,28 @@ func decodeLowerBoundOnly(r *reader) []byte {
 	return nil
 }
 
+func decodeFrameRaw(r *frame.Reader) []uint32 {
+	n := int(r.U32())
+	return make([]uint32, n) // want `allocation sized by an unbounded wire-read length`
+}
+
+func decodeFrameInline(r *frame.Reader) []byte {
+	return make([]byte, r.U16()) // want `allocation sized by an unbounded wire-read length`
+}
+
 // --- Legal patterns: everything below must produce no findings. ---
+
+func decodeFrameCounted(r *frame.Reader) []uint32 {
+	n := r.Count(4)
+	if r.Err() != nil {
+		return nil
+	}
+	return make([]uint32, n)
+}
+
+func decodeFrameCounted16(r *frame.Reader) []uint16 {
+	return make([]uint16, r.Count16(2))
+}
 
 func decodeCounted(r *reader) []uint64 {
 	n := r.count(8)

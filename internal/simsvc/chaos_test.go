@@ -39,10 +39,22 @@ func chaosPlan(seed uint64) faultinject.Plan {
 // other rejection fails the test.
 func submitChaos(t *testing.T, svc *Service, spec RunSpec) (*Job, int64) {
 	t.Helper()
+	var job *Job
+	rejected := retryCoalesce(t, func() (err error) {
+		job, err = svc.Submit(spec)
+		return err
+	})
+	return job, rejected
+}
+
+// retryCoalesce calls submit until it is not rejected by the coalesce fault
+// and returns the number of rejections. Any other error fails the test.
+func retryCoalesce(t *testing.T, submit func() error) int64 {
+	t.Helper()
 	for rejected := int64(0); rejected < 100; rejected++ {
-		job, err := svc.Submit(spec)
+		err := submit()
 		if err == nil {
-			return job, rejected
+			return rejected
 		}
 		var ie *faultinject.InjectedError
 		if !errors.As(err, &ie) || ie.Point != "simsvc.coalesce" {
@@ -50,11 +62,13 @@ func submitChaos(t *testing.T, svc *Service, spec RunSpec) (*Job, int64) {
 		}
 	}
 	t.Fatalf("submit: rejected by the coalesce fault 100 times in a row")
-	return nil, 0
+	return 0
 }
 
-// soakSpecs fans one seed out into distinct job specs: scale and policy
-// variants of the quick workloads.
+// soakSpecs fans one seed out into n distinct job specs: app, policy and
+// scale variants of the quick workloads. i is read in mixed radix — the app
+// varies fastest, then the policy, then the scale — so no two specs share a
+// key.
 func soakSpecs(n int) []RunSpec {
 	apps := []string{"jpeg", "gsm"}
 	policies := []string{"AIMD", "MIAD", "AIAD", "MIMD"}
@@ -62,14 +76,31 @@ func soakSpecs(n int) []RunSpec {
 	for i := 0; i < n; i++ {
 		specs = append(specs, RunSpec{
 			App:    apps[i%len(apps)],
-			Scale:  0.002 + 0.001*float64(i%4),
+			Scale:  0.002 + 0.001*float64(i/(len(apps)*len(policies))),
 			Codec:  "BDI",
 			ACC:    true,
 			Kagura: true,
-			Policy: policies[i%len(policies)],
+			Policy: policies[i/len(apps)%len(policies)],
 		})
 	}
 	return specs
+}
+
+// TestSoakSpecsAreDistinct holds soakSpecs to its name: n specs, n keys.
+func TestSoakSpecsAreDistinct(t *testing.T) {
+	for _, n := range []int{10, 12, 40} {
+		keys := make(map[string]bool, n)
+		for _, spec := range soakSpecs(n) {
+			key, err := spec.Key()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[key] = true
+		}
+		if len(keys) != n {
+			t.Errorf("soakSpecs(%d) yields %d distinct keys", n, len(keys))
+		}
+	}
 }
 
 // TestChaosSoak is the seeded chaos harness: for each seed it arms a hostile
@@ -115,12 +146,19 @@ func TestChaosSoak(t *testing.T) {
 					rejected += n
 				}
 			}
+			// The batch's base is also a plain soak spec, so it can coalesce
+			// onto that spec's in-flight job and draw the coalesce fault. A
+			// rejected element fails the call after the elements before it
+			// were scheduled; the retry resubmits the batch, and every job
+			// any attempt scheduled must still settle.
+			var forked []*Job
+			rejected += retryCoalesce(t, func() error {
+				jobs, err := svc.SubmitBatchFork(forkBatch, &ForkPoint{Cycles: 20_000})
+				forked = append(forked, jobs...)
+				return err
+			})
 			if fires := faultinject.Fires("simsvc.coalesce"); rejected != fires {
 				t.Fatalf("%d submissions rejected by the coalesce fault, which fired %d times", rejected, fires)
-			}
-			forked, err := svc.SubmitBatchFork(forkBatch, &ForkPoint{Cycles: 20_000})
-			if err != nil {
-				t.Fatalf("forked batch: %v", err)
 			}
 
 			// Scrape /metrics mid-soak, while jobs are racing through every

@@ -196,7 +196,7 @@ func TestTornWritePublishQuarantinedAfterRestart(t *testing.T) {
 }
 
 // TestCleanWriteFailureLeavesStoreConsistent injects an error inside
-// ckpt.WriteFileAtomic (the "ckpt.write" point fires before the rename): the
+// frame.WriteFileAtomic (the "ckpt.write" point fires before the rename): the
 // publish fails cleanly, no entry lands, and the store stays consistent.
 func TestCleanWriteFailureLeavesStoreConsistent(t *testing.T) {
 	dir := t.TempDir()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -734,6 +735,32 @@ func TestSettledJobDropsCompute(t *testing.T) {
 	for _, job := range []*Job{owner, waiter} {
 		if hasCompute(svc, job) {
 			t.Errorf("job %s still holds its compute closure after the computation returned", job.ID())
+		}
+	}
+}
+
+// TestNonFiniteSpecRejected covers the floats Normalize's range checks
+// cannot see: every comparison with NaN is false, and ±Inf passes a
+// one-sided bound. Each must fail Normalize, and Submit must classify it as
+// an invalid spec rather than run it.
+func TestNonFiniteSpecRejected(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	fields := map[string]func(*RunSpec, float64){
+		"scale":          func(s *RunSpec, v float64) { s.Scale = v },
+		"increaseStep":   func(s *RunSpec, v float64) { s.IncreaseStep = v },
+		"maxSimSeconds":  func(s *RunSpec, v float64) { s.MaxSimSeconds = v },
+		"timeoutSeconds": func(s *RunSpec, v float64) { s.TimeoutSeconds = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			spec := RunSpec{App: "jpeg", Scale: 0.01, Kagura: true}
+			set(&spec, v)
+			if _, err := spec.Normalize(); err == nil {
+				t.Errorf("%s=%g: Normalize accepted it", name, v)
+			}
+			if _, err := svc.Submit(spec); Classify(err) != CodeInvalidSpec {
+				t.Errorf("%s=%g: Submit error %v, want an invalid spec", name, v, err)
+			}
 		}
 	}
 }

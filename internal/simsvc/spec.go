@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"kagura/internal/cache"
@@ -77,6 +78,16 @@ func (sp RunSpec) Normalize() (RunSpec, error) {
 	}
 	if sp.App != "" && len(sp.Workload) > 0 {
 		return out, fmt.Errorf("simsvc: app and workload are mutually exclusive")
+	}
+	// Every comparison with NaN is false, so the range checks below would
+	// pass a NaN through; reject non-finite values before any of them.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"scale", sp.Scale}, {"increaseStep", sp.IncreaseStep}, {"maxSimSeconds", sp.MaxSimSeconds}, {"timeoutSeconds", sp.TimeoutSeconds}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return out, fmt.Errorf("simsvc: %s %g is not finite", f.name, f.v)
+		}
 	}
 	if out.Scale == 0 { //kagura:allow floateq exact zero marks "field unset" in the wire format
 		out.Scale = 1

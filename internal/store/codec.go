@@ -13,16 +13,17 @@
 //	checksum  4  bytes  CRC-32C (Castagnoli) over the payload
 //	payload   paylen bytes
 //
-// DecodeEntry mirrors ckpt.decode's hardening: every length prefix is
-// bounded by the bytes actually remaining before any allocation, unknown
-// magic/version/kind values are errors, trailing bytes are errors, and no
-// input can cause a panic (FuzzStoreDecode holds the codec to that).
+// The header is a frame header and the length, checksum and payload are a
+// frame block, so DecodeEntry has frame.Reader's hardening: every length
+// prefix is bounded by the bytes actually remaining before any allocation,
+// unknown magic/version/kind values are errors, trailing bytes are errors,
+// and no input can cause a panic (FuzzStoreDecode holds the codec to that).
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"kagura/internal/frame"
 )
 
 // Magic identifies a kagura store entry file.
@@ -66,19 +67,14 @@ func (k Kind) String() string {
 
 func validKind(k Kind) bool { return k == KindResult || k == KindCheckpoint }
 
-// crcTable is the Castagnoli polynomial table; CRC-32C has hardware support
-// on common CPUs and reliably catches the small bit-flip corruption a torn
-// write or chaos plan produces.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // headerLen returns the exact encoded header size for a key.
 func headerLen(key string) int {
-	return len(Magic) + 2 + 1 + 4 + len(key) + 4 + 4
+	return frame.HeaderLen + 1 + 4 + len(key) + frame.BlockOverhead
 }
 
 // maxHeaderLen bounds how many bytes a header can occupy — what the startup
 // scan reads per file instead of the payload.
-const maxHeaderLen = len(Magic) + 2 + 1 + 4 + MaxKeyLen + 4 + 4
+const maxHeaderLen = frame.HeaderLen + 1 + 4 + MaxKeyLen + frame.BlockOverhead
 
 // EncodeEntry frames a payload into the on-disk entry format. The encoding
 // is deterministic: equal inputs produce equal bytes.
@@ -89,16 +85,12 @@ func EncodeEntry(kind Kind, key string, payload []byte) ([]byte, error) {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return nil, fmt.Errorf("store: key length %d outside [1, %d]", len(key), MaxKeyLen)
 	}
-	buf := make([]byte, 0, headerLen(key)+len(payload))
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	buf = append(buf, byte(kind))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
-	return buf, nil
+	w := &frame.Writer{Buf: make([]byte, 0, headerLen(key)+len(payload))}
+	w.Header(Magic, Version)
+	w.U8(byte(kind))
+	w.Str(key)
+	w.Block(payload)
+	return w.Buf, nil
 }
 
 // Header is the payload-free part of an entry, parsed by DecodeHeader.
@@ -117,94 +109,38 @@ type Header struct {
 // never the payload). It validates structure — magic, version, kind, key
 // bounds — but not the checksum, which requires the payload.
 func DecodeHeader(data []byte) (Header, error) {
-	var h Header
-	r := &entryReader{data: data}
-	if magic := r.take(len(Magic)); r.err == nil && string(magic) != Magic {
-		return h, fmt.Errorf("store: bad magic %q", magic)
+	return decodeHeader(frame.NewReader("store", data))
+}
+
+func decodeHeader(r *frame.Reader) (Header, error) {
+	r.Header(Magic, Version, "entry")
+	kind := Kind(r.U8())
+	if r.Err() == nil && !validKind(kind) {
+		return Header{}, fmt.Errorf("store: unknown entry kind %d", kind)
 	}
-	if v := r.u16(); r.err == nil && v != Version {
-		return h, fmt.Errorf("store: unknown entry version %d (this build reads version %d)", v, Version)
+	key := r.Str(MaxKeyLen)
+	payLen, sum := r.BlockHead()
+	if err := r.Err(); err != nil {
+		return Header{}, err
 	}
-	kind := r.u8()
-	if r.err == nil && !validKind(Kind(kind)) {
-		return h, fmt.Errorf("store: unknown entry kind %d", kind)
+	if key == "" {
+		return Header{}, fmt.Errorf("store: key length 0 outside [1, %d]", MaxKeyLen)
 	}
-	keyLen := int(r.u32())
-	if r.err == nil && (keyLen == 0 || keyLen > MaxKeyLen) {
-		return h, fmt.Errorf("store: key length %d outside [1, %d]", keyLen, MaxKeyLen)
-	}
-	key := r.take(keyLen)
-	payLen := int(r.u32())
-	sum := r.u32()
-	if r.err != nil {
-		return h, r.err
-	}
-	h.Kind = Kind(kind)
-	h.Key = string(key)
-	h.PayloadLen = payLen
-	h.Checksum = sum
-	return h, nil
+	return Header{Kind: kind, Key: key, PayloadLen: payLen, Checksum: sum}, nil
 }
 
 // DecodeEntry parses and verifies a complete entry: header structure,
 // payload length against the bytes present, checksum over the payload, and
 // no trailing bytes. Any malformation is an error; no input panics.
 func DecodeEntry(data []byte) (Header, []byte, error) {
-	h, err := DecodeHeader(data)
+	r := frame.NewReader("store", data)
+	h, err := decodeHeader(r)
 	if err != nil {
 		return h, nil, err
 	}
-	body := data[headerLen(h.Key):]
-	if h.PayloadLen != len(body) {
-		return h, nil, fmt.Errorf("store: header claims %d payload bytes, file holds %d", h.PayloadLen, len(body))
+	payload := r.BlockBody(h.PayloadLen, h.Checksum)
+	if err := r.Done("entry"); err != nil {
+		return h, nil, err
 	}
-	if sum := crc32.Checksum(body, crcTable); sum != h.Checksum {
-		return h, nil, fmt.Errorf("store: payload checksum %08x does not match header %08x", sum, h.Checksum)
-	}
-	return h, body, nil
-}
-
-// entryReader parses header bytes, carrying the first error so decode logic
-// reads straight-line (the ckpt.reader idiom).
-type entryReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *entryReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.data)-r.off < n {
-		r.err = fmt.Errorf("store: truncated header: need %d bytes at offset %d, have %d", n, r.off, len(r.data)-r.off)
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *entryReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *entryReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *entryReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
+	return h, payload, nil
 }

@@ -13,7 +13,7 @@
 //	<dir>/checkpoint/57/<sha256(key)>.kse
 //	<dir>/quarantine/…             (corrupt entries, moved aside for forensics)
 //
-// Every write goes through ckpt.WriteFileAtomic (temp + fsync + rename), so
+// Every write goes through frame.WriteFileAtomic (temp + fsync + rename), so
 // a crash mid-publish leaves either no entry or a complete one. Reads verify
 // the framed header and payload checksum (codec.go); a corrupt or torn entry
 // is quarantined and reported as a miss — the caller degrades to recompute,
@@ -38,8 +38,8 @@ import (
 	"sort"
 	"sync"
 
-	"kagura/internal/ckpt"
 	"kagura/internal/faultinject"
+	"kagura/internal/frame"
 )
 
 // Fault-injection points on the persistence paths. Disabled — the production
@@ -125,14 +125,13 @@ type MetricsSnapshot struct {
 // IO happens under the store mutex, which is fine at this tier — a read is
 // microseconds against the seconds a simulation costs.
 type Store struct {
-	mu      sync.Mutex
-	dir     string
-	budget  int64
-	index   map[entryKey]*meta
-	bytes   int64
-	clock   int64
-	met     metrics
-	nextBad int64 // quarantine filename disambiguator
+	mu     sync.Mutex
+	dir    string
+	budget int64
+	index  map[entryKey]*meta
+	bytes  int64
+	clock  int64
+	met    metrics
 }
 
 // Open opens (creating if needed) the store rooted at opts.Dir and rebuilds
@@ -220,7 +219,8 @@ func (s *Store) scan() error {
 			int64(headerLen(h.Key))+int64(h.PayloadLen) != f.size,
 			h.Kind != f.kind,
 			entryFileName(h.Key) != filepath.Base(f.path):
-			s.quarantineFileLocked(f.path)
+			s.met.corruptTotal++
+			frame.Quarantine(s.quarantineDir(), f.path)
 			s.met.scanCorrupted++
 			continue
 		}
@@ -310,7 +310,7 @@ func (s *Store) Put(kind Kind, key string, payload []byte) error {
 		s.met.writeErrors++
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := ckpt.WriteFileAtomic(path, blob, 0o644); err != nil {
+	if err := frame.WriteFileAtomic(path, blob, 0o644); err != nil {
 		s.met.writeErrors++
 		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
 	}
@@ -438,24 +438,11 @@ func (s *Store) entryPath(kind Kind, key string) string {
 
 func (s *Store) quarantineDir() string { return filepath.Join(s.dir, "quarantine") }
 
-// quarantineFileLocked moves a corrupt file into the quarantine directory,
-// falling back to deletion if the rename fails. Callers hold s.mu (or are
-// inside Open, before the store is shared).
-func (s *Store) quarantineFileLocked(path string) {
-	s.met.corruptTotal++
-	s.nextBad++
-	dst := filepath.Join(s.quarantineDir(), fmt.Sprintf("%06d-%s", s.nextBad, filepath.Base(path)))
-	//kagura:allow atomicwrite the source file is already complete (and already corrupt); the move relocates evidence, it does not commit new bytes
-	if err := os.Rename(path, dst); err != nil {
-		os.Remove(path)
-	}
-}
-
 // quarantineLocked quarantines an indexed entry and drops it from the index.
 func (s *Store) quarantineLocked(ek entryKey, m *meta) {
-	s.quarantineFileLocked(m.path)
-	delete(s.index, ek)
-	s.bytes -= m.size
+	s.met.corruptTotal++
+	frame.Quarantine(s.quarantineDir(), m.path)
+	s.dropLocked(ek, m)
 }
 
 // dropLocked removes an entry from the index without touching its file.

@@ -474,3 +474,20 @@ func TestAccessOrderSurvivesRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestQuarantineKeepsEarlierEvidence quarantines the same key in two
+// successive opens of one directory. Each move must land under a fresh
+// name: a restart must never overwrite what an earlier run set aside.
+func TestQuarantineKeepsEarlierEvidence(t *testing.T) {
+	dir := t.TempDir()
+	for run := 1; run <= 2; run++ {
+		s := newTestStore(t, Options{Dir: dir})
+		if err := s.Put(KindResult, "k", []byte(fmt.Sprintf("payload %d", run))); err != nil {
+			t.Fatal(err)
+		}
+		s.Quarantine(KindResult, "k")
+		if n := quarantineCount(t, dir); n != run {
+			t.Fatalf("after open %d quarantine holds %d files, want %d", run, n, run)
+		}
+	}
+}
