@@ -98,7 +98,7 @@ func (c *Config) Validate() error {
 	if c.App == nil {
 		return fmt.Errorf("ehs: config has no workload")
 	}
-	if c.Trace == nil || len(c.Trace.Samples) == 0 {
+	if c.Trace == nil || c.Trace.Len() == 0 {
 		return fmt.Errorf("ehs: config has no power trace")
 	}
 	if err := c.Capacitor.Validate(); err != nil {

@@ -34,12 +34,20 @@ func (c Config) Fingerprint() string {
 		}
 	}
 	if tr := c.Trace; tr != nil {
-		w("trace|%s|%d\n", tr.Name, len(tr.Samples))
-		var buf [8]byte
-		for _, s := range tr.Samples {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s))
-			h.Write(buf[:])
-		}
+		w("trace|%s|%d\n", tr.Name, tr.Len())
+		// Each sample hashes as its 8 little-endian IEEE-754 bytes, written
+		// in batches of 64 through one small buffer.
+		var buf [512]byte
+		tr.Each(func(block []float64) {
+			for len(block) > 0 {
+				m := min(len(block), len(buf)/8)
+				for j, s := range block[:m] {
+					binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(s))
+				}
+				h.Write(buf[:8*m])
+				block = block[m:]
+			}
+		})
 	}
 	w("cap|%+v\n", c.Capacitor)
 	w("nvm|%+v\n", c.NVM)

@@ -330,7 +330,7 @@ func TestConfigString(t *testing.T) {
 
 func TestSafetyCutoff(t *testing.T) {
 	cfg := testConfig(t, "jpeg")
-	cfg.Trace = &powertrace.Trace{Name: "dead", Samples: []float64{0}}
+	cfg.Trace = powertrace.FromSamples("dead", []float64{0})
 	cfg.MaxSimSeconds = 0.01
 	res, err := Run(cfg)
 	if err != nil {

@@ -22,6 +22,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"kagura/internal/rng"
 )
@@ -29,32 +31,104 @@ import (
 // IntervalSeconds is the duration covered by one trace sample: 10µs.
 const IntervalSeconds = 10e-6
 
-// Trace is an ambient power trace: Samples[i] is the average harvested power
-// in watts over the i-th 10µs interval. Traces repeat cyclically when a
+// chunkLen is the number of samples a built-in trace synthesizes at a time.
+// Runs read a few thousand samples at most, so a small chunk keeps the
+// synthesis they trigger close to what they read.
+const chunkLen = 1024
+
+type chunk [chunkLen]float64
+
+// Trace is an ambient power trace: sample i is the average harvested power in
+// watts over the i-th 10µs interval. Traces repeat cyclically when a
 // simulation outlives them.
+//
+// A built-in trace synthesizes its samples on demand, chunk by chunk and in
+// order, up to the highest index anyone has read; the samples are the same
+// as if the whole trace had been generated up front. A Trace is safe for
+// concurrent use and must not be copied.
 type Trace struct {
 	// Name identifies the ambient source (e.g. "RFHome").
 	Name string
-	// Samples holds average power per interval, in watts.
-	Samples []float64
+
+	n int
+	// chunks[k] holds samples [k*chunkLen, (k+1)*chunkLen), or is nil until
+	// synthesized. Once stored, a chunk is never written again.
+	chunks []atomic.Pointer[chunk]
+
+	mu  sync.Mutex // serializes synthesis
+	gen *generator // nil once every chunk is stored
 }
+
+func newTrace(name string, n int) *Trace {
+	return &Trace{Name: name, n: n, chunks: make([]atomic.Pointer[chunk], (n+chunkLen-1)/chunkLen)}
+}
+
+// FromSamples returns a trace holding a copy of the given samples (watts per
+// 10µs interval).
+func FromSamples(name string, samples []float64) *Trace {
+	t := newTrace(name, len(samples))
+	for k := range t.chunks {
+		c := new(chunk)
+		copy(c[:], samples[k*chunkLen:])
+		t.chunks[k].Store(c)
+	}
+	return t
+}
+
+// Len returns the number of samples before the trace wraps.
+func (t *Trace) Len() int { return t.n }
 
 // Power returns the harvested power during the interval containing the given
 // absolute interval index. The trace wraps around when exhausted.
 func (t *Trace) Power(interval int64) float64 {
-	if len(t.Samples) == 0 {
+	n := int64(t.n)
+	if n == 0 {
 		return 0
 	}
-	i := interval % int64(len(t.Samples))
+	i := interval % n
 	if i < 0 {
-		i += int64(len(t.Samples))
+		i += n
 	}
-	return t.Samples[i]
+	k := int(uint64(i) / chunkLen)
+	c := t.chunks[k].Load()
+	if c == nil {
+		c = t.fill(k)
+	}
+	return c[uint64(i)%chunkLen]
+}
+
+// Each calls fn with the trace's samples in order, one block at a time,
+// synthesizing any block not yet read. fn must not modify or retain a block.
+func (t *Trace) Each(fn func(block []float64)) {
+	for k := range t.chunks {
+		c := t.chunks[k].Load()
+		if c == nil {
+			c = t.fill(k)
+		}
+		fn(c[:min(chunkLen, t.n-k*chunkLen)])
+	}
+}
+
+// fill synthesizes the chunks up to and including chunk k, in order, and
+// returns chunk k.
+func (t *Trace) fill(k int) *chunk {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for t.gen != nil && t.gen.i <= k*chunkLen {
+		next := t.gen.i / chunkLen
+		c := new(chunk)
+		t.gen.next(c[:min(chunkLen, t.n-t.gen.i)])
+		t.chunks[next].Store(c)
+		if t.gen.i == t.n {
+			t.gen = nil
+		}
+	}
+	return t.chunks[k].Load()
 }
 
 // Duration returns the trace length in seconds (before wrapping).
 func (t *Trace) Duration() float64 {
-	return float64(len(t.Samples)) * IntervalSeconds
+	return float64(t.n) * IntervalSeconds
 }
 
 // Stats summarizes a trace for Fig 11-style reporting.
@@ -76,12 +150,15 @@ type Stats struct {
 // Summarize computes summary statistics of the trace.
 func (t *Trace) Summarize() Stats {
 	var s Stats
-	if len(t.Samples) == 0 {
+	if t.n == 0 {
 		return s
 	}
+	samples := make([]float64, 0, t.n)
+	t.Each(func(block []float64) { samples = append(samples, block...) })
+
 	s.MinWatts = math.Inf(1)
 	var sum, sumSq float64
-	for _, p := range t.Samples {
+	for _, p := range samples {
 		sum += p
 		sumSq += p * p
 		if p > s.PeakWatts {
@@ -91,14 +168,14 @@ func (t *Trace) Summarize() Stats {
 			s.MinWatts = p
 		}
 	}
-	n := float64(len(t.Samples))
+	n := float64(len(samples))
 	s.MeanWatts = sum / n
 	variance := sumSq/n - s.MeanWatts*s.MeanWatts
 	if variance > 0 {
 		s.StdDevWatts = math.Sqrt(variance)
 	}
 	stable, zero := 0, 0
-	for _, p := range t.Samples {
+	for _, p := range samples {
 		if p >= 0.5*s.MeanWatts && p <= 1.5*s.MeanWatts {
 			stable++
 		}
@@ -109,11 +186,10 @@ func (t *Trace) Summarize() Stats {
 	s.StableShare = float64(stable) / n
 	s.ZeroShare = float64(zero) / n
 
-	sorted := append([]float64(nil), t.Samples...)
-	sort.Float64s(sorted)
+	sort.Float64s(samples)
 	pct := func(q float64) float64 {
-		idx := int(q * float64(len(sorted)-1))
-		return sorted[idx]
+		idx := int(q * float64(len(samples)-1))
+		return samples[idx]
 	}
 	s.P10, s.P50, s.P90 = pct(0.10), pct(0.50), pct(0.90)
 	return s
@@ -123,26 +199,26 @@ func (t *Trace) Summarize() Stats {
 // value (watts) per line. A header comment records the name and interval.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# trace %s interval_us 10\n", t.Name); err != nil {
-		return err
-	}
-	for _, p := range t.Samples {
-		if _, err := bw.WriteString(strconv.FormatFloat(p, 'g', -1, 64)); err != nil {
-			return err
+	// A bufio.Writer keeps its first write error and Flush returns it, so the
+	// writes below are checked once, at the end.
+	fmt.Fprintf(bw, "# trace %s interval_us 10\n", t.Name)
+	var line []byte
+	t.Each(func(block []float64) {
+		for _, p := range block {
+			line = append(strconv.AppendFloat(line[:0], p, 'g', -1, 64), '\n')
+			bw.Write(line)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
+	})
 	return bw.Flush()
 }
 
 // Read parses a trace in the text format produced by Write. Lines beginning
 // with '#' are comments; the first comment of the form "# trace NAME ..."
-// sets the trace name.
+// sets the trace name. Every sample must be a finite, non-negative power.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	t := &Trace{Name: "unnamed"}
+	name := "unnamed"
+	var samples []float64
 	line := 0
 	for sc.Scan() {
 		line++
@@ -153,7 +229,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if strings.HasPrefix(text, "#") {
 			fields := strings.Fields(strings.TrimPrefix(text, "#"))
 			if len(fields) >= 2 && fields[0] == "trace" {
-				t.Name = fields[1]
+				name = fields[1]
 			}
 			continue
 		}
@@ -161,33 +237,27 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("powertrace: line %d: %v", line, err)
 		}
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("powertrace: line %d: non-finite power %v", line, p)
+		}
 		if p < 0 {
 			return nil, fmt.Errorf("powertrace: line %d: negative power %v", line, p)
 		}
-		t.Samples = append(t.Samples, p)
+		samples = append(samples, p)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("powertrace: %v", err)
 	}
-	if len(t.Samples) == 0 {
+	if len(samples) == 0 {
 		return nil, fmt.Errorf("powertrace: empty trace")
 	}
-	return t, nil
-}
-
-// Scale returns a copy of the trace with every sample multiplied by factor.
-// Useful for sensitivity studies on harvest strength.
-func (t *Trace) Scale(factor float64) *Trace {
-	out := &Trace{Name: t.Name, Samples: make([]float64, len(t.Samples))}
-	for i, p := range t.Samples {
-		out.Samples[i] = p * factor
-	}
-	return out
+	return FromSamples(name, samples), nil
 }
 
 // synthParams configures the generic synthetic generator shared by the three
 // named sources.
 type synthParams struct {
+	seedMix   uint64  // XORed into the caller's seed, so each source draws its own stream
 	meanWatts float64 // long-run average power
 	// burstiness in [0,1]: 0 = perfectly smooth, 1 = heavily on/off.
 	burstiness float64
@@ -203,51 +273,65 @@ type synthParams struct {
 	noise       float64 // relative white-noise amplitude
 }
 
-// generate produces n samples from the parameter set.
+// generator is the resumable state of one synthetic trace: each call to next
+// continues the sample stream where the previous call stopped.
+type generator struct {
+	p          synthParams
+	r          *rng.Source
+	on         bool // in a harvesting burst
+	hold       int  // samples left before the burst state is redrawn
+	burstLevel float64
+	i          int // index of the next sample
+}
+
+// generate returns an n-sample trace whose samples are synthesized on demand.
 func generate(name string, n int, seed uint64, p synthParams) *Trace {
-	r := rng.New(seed)
-	t := &Trace{Name: name, Samples: make([]float64, n)}
+	r := rng.New(seed ^ p.seedMix)
+	t := newTrace(name, n)
+	t.gen = &generator{
+		p: p,
+		r: r,
+		// Two-state (burst/idle) modulation: choose level so the long-run
+		// mean matches meanWatts given the duty cycle onProb.
+		on:         r.Float64() < p.onProb,
+		burstLevel: p.meanWatts / math.Max(p.onProb, 1e-9),
+	}
+	return t
+}
 
-	// Two-state (burst/idle) modulation: choose level so the long-run mean
-	// matches meanWatts given the duty cycle onProb.
-	on := r.Float64() < p.onProb
-	hold := 0
-	burstLevel := p.meanWatts / math.Max(p.onProb, 1e-9)
-
-	for i := 0; i < n; i++ {
-		if hold <= 0 {
-			// Flip state with probability matching the target duty cycle so
-			// the run-length process stays near onProb on-share.
-			if on {
-				on = r.Float64() < p.onProb
-			} else {
-				on = r.Float64() < p.onProb
-			}
-			hold = 1 + r.Intn(2*p.burstHold)
+// next fills block with the next len(block) samples.
+func (g *generator) next(block []float64) {
+	p := g.p
+	for j := range block {
+		if g.hold <= 0 {
+			// Redraw the state with probability onProb each run, so the
+			// run-length process stays near onProb on-share.
+			g.on = g.r.Float64() < p.onProb
+			g.hold = 1 + g.r.Intn(2*p.burstHold)
 		}
-		hold--
+		g.hold--
 
 		base := p.meanWatts
 		if p.burstiness > 0 {
 			level := 0.0
-			if on {
-				level = burstLevel
+			if g.on {
+				level = g.burstLevel
 			}
 			base = (1-p.burstiness)*p.meanWatts + p.burstiness*level
 		}
 		if p.driftPeriod > 0 {
-			phase := 2 * math.Pi * float64(i) / float64(p.driftPeriod)
+			phase := 2 * math.Pi * float64(g.i) / float64(p.driftPeriod)
 			base *= 1 + p.driftDepth*math.Sin(phase)
 		}
 		if p.noise > 0 {
-			base *= 1 + p.noise*r.NormFloat64()
+			base *= 1 + p.noise*g.r.NormFloat64()
 		}
 		if base < 0 {
 			base = 0
 		}
-		t.Samples[i] = base
+		block[j] = base
+		g.i++
 	}
-	return t
 }
 
 // Default trace length: 2 seconds of 10µs samples. Simulations wrap as
@@ -255,24 +339,18 @@ func generate(name string, n int, seed uint64, p synthParams) *Trace {
 // over typical runs.
 const defaultSamples = 200_000
 
-// RFHome synthesizes the paper's default trace: ambient RF harvested in a
-// home environment. RF is weak and heavily bursty — long near-zero stretches
-// punctuated by transmission bursts — which is what makes power cycles short
-// and irregular.
-func RFHome(seed uint64) *Trace {
-	return generate("RFHome", defaultSamples, seed^0x5f0e, synthParams{
+// The built-in sources' generator settings.
+var (
+	rfHomeParams = synthParams{
+		seedMix:    0x5f0e,
 		meanWatts:  220e-6,
 		burstiness: 0.85,
 		onProb:     0.35,
 		burstHold:  120, // ~1.2ms bursts
 		noise:      0.45,
-	})
-}
-
-// Solar synthesizes an indoor-solar trace: much smoother than RF, with a
-// slow drift component standing in for illumination changes.
-func Solar(seed uint64) *Trace {
-	return generate("Solar", defaultSamples, seed^0xa11c, synthParams{
+	}
+	solarParams = synthParams{
+		seedMix:     0xa11c,
 		meanWatts:   220e-6,
 		burstiness:  0.25,
 		onProb:      0.80,
@@ -280,13 +358,9 @@ func Solar(seed uint64) *Trace {
 		driftPeriod: 50_000, // 0.5s
 		driftDepth:  0.30,
 		noise:       0.10,
-	})
-}
-
-// Thermal synthesizes a thermoelectric trace: the steadiest of the three,
-// with small fluctuations around a slowly moving mean.
-func Thermal(seed uint64) *Trace {
-	return generate("Thermal", defaultSamples, seed^0x7e47, synthParams{
+	}
+	thermalParams = synthParams{
+		seedMix:     0x7e47,
 		meanWatts:   220e-6,
 		burstiness:  0.12,
 		onProb:      0.90,
@@ -294,8 +368,22 @@ func Thermal(seed uint64) *Trace {
 		driftPeriod: 80_000,
 		driftDepth:  0.15,
 		noise:       0.06,
-	})
-}
+	}
+)
+
+// RFHome synthesizes the paper's default trace: ambient RF harvested in a
+// home environment. RF is weak and heavily bursty — long near-zero stretches
+// punctuated by transmission bursts — which is what makes power cycles short
+// and irregular.
+func RFHome(seed uint64) *Trace { return generate("RFHome", defaultSamples, seed, rfHomeParams) }
+
+// Solar synthesizes an indoor-solar trace: much smoother than RF, with a
+// slow drift component standing in for illumination changes.
+func Solar(seed uint64) *Trace { return generate("Solar", defaultSamples, seed, solarParams) }
+
+// Thermal synthesizes a thermoelectric trace: the steadiest of the three,
+// with small fluctuations around a slowly moving mean.
+func Thermal(seed uint64) *Trace { return generate("Thermal", defaultSamples, seed, thermalParams) }
 
 // Lookup is the one name table of the built-in traces: it maps an accepted
 // spelling (any case; "rf" aliases RFHome) to the canonical name and the

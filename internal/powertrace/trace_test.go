@@ -14,11 +14,12 @@ func TestBuiltinsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		b, _ := ByName(name, 1)
-		if len(a.Samples) != len(b.Samples) {
+		as, bs := samplesOf(a), samplesOf(b)
+		if len(as) != len(bs) {
 			t.Fatalf("%s: lengths differ", name)
 		}
-		for i := range a.Samples {
-			if a.Samples[i] != b.Samples[i] {
+		for i := range as {
+			if as[i] != bs[i] {
 				t.Fatalf("%s: sample %d differs", name, i)
 			}
 		}
@@ -83,7 +84,7 @@ func TestRFBurstierThanSolarAndThermal(t *testing.T) {
 }
 
 func TestPowerWraps(t *testing.T) {
-	tr := &Trace{Name: "x", Samples: []float64{1, 2, 3}}
+	tr := FromSamples("x", []float64{1, 2, 3})
 	if got := tr.Power(0); got != 1 {
 		t.Fatalf("Power(0) = %v", got)
 	}
@@ -96,15 +97,19 @@ func TestPowerWraps(t *testing.T) {
 }
 
 func TestPowerEmptyTrace(t *testing.T) {
-	tr := &Trace{}
+	tr := FromSamples("empty", nil)
 	if got := tr.Power(5); got != 0 {
 		t.Fatalf("empty trace power = %v, want 0", got)
 	}
 }
 
 func TestRoundTripIO(t *testing.T) {
-	orig := RFHome(9)
-	orig.Samples = orig.Samples[:500]
+	full := RFHome(9)
+	head := make([]float64, 500)
+	for i := range head {
+		head[i] = full.Power(int64(i))
+	}
+	orig := FromSamples(full.Name, head)
 	var buf bytes.Buffer
 	if err := orig.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -116,25 +121,30 @@ func TestRoundTripIO(t *testing.T) {
 	if back.Name != "RFHome" {
 		t.Fatalf("name = %q", back.Name)
 	}
-	if len(back.Samples) != len(orig.Samples) {
-		t.Fatalf("len = %d, want %d", len(back.Samples), len(orig.Samples))
+	if back.Len() != orig.Len() {
+		t.Fatalf("len = %d, want %d", back.Len(), orig.Len())
 	}
-	for i := range back.Samples {
-		if math.Abs(back.Samples[i]-orig.Samples[i]) > 1e-12*math.Max(1, orig.Samples[i]) {
-			t.Fatalf("sample %d: %v != %v", i, back.Samples[i], orig.Samples[i])
+	for i := int64(0); i < int64(back.Len()); i++ {
+		if math.Abs(back.Power(i)-orig.Power(i)) > 1e-12*math.Max(1, orig.Power(i)) {
+			t.Fatalf("sample %d: %v != %v", i, back.Power(i), orig.Power(i))
 		}
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("abc\n")); err == nil {
-		t.Fatal("expected parse error")
-	}
-	if _, err := Read(strings.NewReader("-1.0\n")); err == nil {
-		t.Fatal("expected negative power error")
-	}
-	if _, err := Read(strings.NewReader("# only comments\n")); err == nil {
-		t.Fatal("expected empty trace error")
+	for _, tc := range []struct{ in, want string }{
+		{"abc\n", "line 1: strconv.ParseFloat"},
+		{"1e-6\n-1.0\n", "line 2: negative power -1"},
+		{"# trace x\n1e-6\nNaN\n", "line 3: non-finite power NaN"},
+		{"1e-6\n\n+Inf\n", "line 3: non-finite power +Inf"},
+		{"-inf\n", "line 1: non-finite power -Inf"},
+		{"1e400\n", "line 1: strconv.ParseFloat"},
+		{"# only comments\n", "empty trace"},
+	} {
+		_, err := Read(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Read(%q) error = %v, want it to mention %q", tc.in, err, tc.want)
+		}
 	}
 }
 
@@ -143,24 +153,13 @@ func TestReadSkipsCommentsAndBlank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Name != "Foo" || len(tr.Samples) != 2 {
-		t.Fatalf("got %q %v", tr.Name, tr.Samples)
-	}
-}
-
-func TestScale(t *testing.T) {
-	tr := &Trace{Name: "x", Samples: []float64{1, 2}}
-	s := tr.Scale(0.5)
-	if s.Samples[0] != 0.5 || s.Samples[1] != 1 {
-		t.Fatalf("scaled = %v", s.Samples)
-	}
-	if tr.Samples[0] != 1 {
-		t.Fatal("scale mutated original")
+	if tr.Name != "Foo" || tr.Len() != 2 || tr.Power(0) != 1e-6 || tr.Power(1) != 2e-6 {
+		t.Fatalf("got %q %v", tr.Name, samplesOf(tr))
 	}
 }
 
 func TestDuration(t *testing.T) {
-	tr := &Trace{Samples: make([]float64, 100)}
+	tr := FromSamples("x", make([]float64, 100))
 	if d := tr.Duration(); math.Abs(d-100*IntervalSeconds) > 1e-15 {
 		t.Fatalf("duration = %v", d)
 	}
@@ -188,7 +187,7 @@ func TestSeedChangesTrace(t *testing.T) {
 	a, b := RFHome(1), RFHome(2)
 	diff := 0
 	for i := 0; i < 1000; i++ {
-		if a.Samples[i] != b.Samples[i] {
+		if a.Power(int64(i)) != b.Power(int64(i)) {
 			diff++
 		}
 	}
