@@ -20,7 +20,9 @@
 // store inspects a kagura-serve persistent store directory (DESIGN.md §12):
 // ls lists every entry, gc evicts down to a byte budget and clears the
 // quarantine, and verify re-reads every payload end to end, quarantining any
-// entry that fails its checksum or decoder.
+// entry that fails its checksum or decoder. verify lists a checkpoint whose
+// fingerprint predates the fp2 scheme as LEGACY: the service recomputes and
+// overwrites it, so it is neither quarantined nor counted corrupt.
 //
 // journal inspects a kagura-serve crash-journal directory (DESIGN.md §14):
 // ls decodes and lists the intent records read-only, and verify runs the
@@ -211,7 +213,10 @@ func cmdResume(args []string) {
 	fatal(err)
 	cfg, err := spec.Config()
 	fatal(err)
-	if cfg.Fingerprint() != snap.ConfigHash {
+	switch {
+	case ehs.IsLegacyFingerprint(snap.ConfigHash):
+		fmt.Fprintf(os.Stderr, "kagura-ckpt: legacy fingerprint (pre-fp2), treating as a fork\n")
+	case cfg.Fingerprint() != snap.ConfigHash:
 		fmt.Fprintf(os.Stderr, "kagura-ckpt: config differs from the checkpoint's source — forking the warm prefix onto the variant config\n")
 	}
 	res, err := ehs.RunFrom(context.Background(), snap, cfg)
@@ -261,7 +266,7 @@ func cmdStore(args []string) {
 			evicted, st.Len(), st.Bytes())
 	case "verify":
 		entries := st.Entries()
-		bad := 0
+		bad, legacy := 0, 0
 		for _, e := range entries {
 			payload, ok := st.Get(e.Kind, e.Key)
 			if !ok {
@@ -276,7 +281,13 @@ func cmdStore(args []string) {
 			case store.KindResult:
 				_, derr = ckpt.DecodeResult(payload)
 			case store.KindCheckpoint:
-				_, derr = ckpt.Decode(payload)
+				var snap *ehs.Snapshot
+				if snap, derr = ckpt.Decode(payload); derr == nil && ehs.IsLegacyFingerprint(snap.ConfigHash) {
+					// Stale, not damaged: the service treats it as a miss
+					// and overwrites it.
+					fmt.Printf("LEGACY  %-10s %s (pre-fp2 fingerprint)\n", e.Kind, e.Key)
+					legacy++
+				}
 			}
 			if derr != nil {
 				st.Quarantine(e.Kind, e.Key)
@@ -284,8 +295,8 @@ func cmdStore(args []string) {
 				bad++
 			}
 		}
-		fmt.Printf("verified %d entries: %d corrupt (%d more quarantined at scan)\n",
-			len(entries), bad, scanned.ScanCorrupted)
+		fmt.Printf("verified %d entries: %d corrupt, %d legacy (%d more quarantined at scan)\n",
+			len(entries), bad, legacy, scanned.ScanCorrupted)
 		if bad > 0 || scanned.ScanCorrupted > 0 {
 			os.Exit(1)
 		}

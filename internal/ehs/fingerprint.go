@@ -2,18 +2,23 @@ package ehs
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
+	"strings"
 )
 
+// fingerprintTag prefixes every fingerprint. Fingerprints without it were
+// written by builds that hashed every power-trace sample; see
+// IsLegacyFingerprint.
+const fingerprintTag = "fp2:"
+
 // Fingerprint returns a content-addressed identity for a configuration: a
-// SHA-256 over every behavior-determining input — the full workload
-// definition, the power trace samples, and all architectural parameters.
-// Runs are deterministic, so two configs with equal fingerprints produce
-// byte-identical results. The fingerprint is the basis of simsvc's result
-// memoization and of checkpoint provenance: a snapshot records the
+// version tag and a SHA-256 over every behavior-determining input — the full
+// workload definition, the power trace's name, length and identity
+// (powertrace.Trace.Identity, which reads no samples), and all architectural
+// parameters. Runs are deterministic, so two configs with equal fingerprints
+// produce byte-identical results. The fingerprint is the basis of simsvc's
+// result memoization and of checkpoint provenance: a snapshot records the
 // fingerprint of the config it was taken under, and RestoreSnapshot uses it
 // to distinguish an exact resume from a cross-config fork.
 func (c Config) Fingerprint() string {
@@ -34,20 +39,7 @@ func (c Config) Fingerprint() string {
 		}
 	}
 	if tr := c.Trace; tr != nil {
-		w("trace|%s|%d\n", tr.Name, tr.Len())
-		// Each sample hashes as its 8 little-endian IEEE-754 bytes, written
-		// in batches of 64 through one small buffer.
-		var buf [512]byte
-		tr.Each(func(block []float64) {
-			for len(block) > 0 {
-				m := min(len(block), len(buf)/8)
-				for j, s := range block[:m] {
-					binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(s))
-				}
-				h.Write(buf[:8*m])
-				block = block[m:]
-			}
-		})
+		w("trace|%s|%d|%s\n", tr.Name, tr.Len(), tr.Identity())
 	}
 	w("cap|%+v\n", c.Capacitor)
 	w("nvm|%+v\n", c.NVM)
@@ -75,5 +67,16 @@ func (c Config) Fingerprint() string {
 		// from aliasing (a pointer could be reused by the allocator after GC).
 		w("oracle|%d|%d\n", c.Oracle.Mode, c.Oracle.ID())
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	var out [len(fingerprintTag) + 2*sha256.Size]byte
+	copy(out[:], fingerprintTag)
+	hex.Encode(out[len(fingerprintTag):], h.Sum(sum[:0]))
+	return string(out[:])
+}
+
+// IsLegacyFingerprint reports whether a recorded fingerprint (a snapshot's
+// ConfigHash) predates the current scheme. Such a hash can equal no current
+// fingerprint, but it marks an entry as stale rather than corrupt.
+func IsLegacyFingerprint(hash string) bool {
+	return !strings.HasPrefix(hash, fingerprintTag)
 }

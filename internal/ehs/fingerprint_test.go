@@ -1,6 +1,8 @@
 package ehs
 
 import (
+	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -11,26 +13,27 @@ import (
 )
 
 // fingerprintGolden pins Config.Fingerprint. Persisted checkpoints record it
-// as their ConfigHash, so a changed value orphans every stored snapshot; the
-// hex strings were recorded when the trace was still synthesized eagerly.
+// as their ConfigHash, so a changed value turns every stored snapshot into a
+// miss. Change them only together with fingerprintTag: under an unchanged
+// tag, a stale stored snapshot is quarantined as corrupt.
 var fingerprintGolden = []struct {
 	trace string
 	seed  uint64
 	full  bool // ACC+BDI+Kagura instead of the compressor-free baseline
 	want  string
 }{
-	{"RFHome", 1, false, "56aa515341c96602d523cf42eca90648b5970a513a29cfa742f498d09300473d"},
-	{"RFHome", 1, true, "45cbe10c4b2d733ba58721372541730e8cf4a7c2ab54b4b2341960cad5e6fb10"},
-	{"RFHome", 77, false, "089f4ad2cb04e33866979ffc71fe9a820bdbd049513041f2077c1a0c60dfa083"},
-	{"RFHome", 77, true, "7e3b7799f8c8bac15a7e04a57e7de0435584a752f93672b3a4cb50c4f21b52d4"},
-	{"Solar", 1, false, "12a2f1cb11eb6a62f327d4e747aa44b27b9177a57389619c38e0f9776194d1fd"},
-	{"Solar", 1, true, "7ee8cf60b639c2d6e86d2c2cdacc846907e7aa8f3abc91a387805435a59f2ec4"},
-	{"Solar", 77, false, "2572a6bf6ff167b33273e80966c3d35898e81e7eae0d946534d48597c8d31299"},
-	{"Solar", 77, true, "8035360eedc9892a41fffb084b306b9505e54fc7a6092cbcdb54dce48913bc9e"},
-	{"Thermal", 1, false, "c18464aa797be2933e3d497a85b112e0ee8ab3c09ad87d4a76ae0d1e18a36684"},
-	{"Thermal", 1, true, "aafce648d090b2b2c666c98d433e7aa0ac236385a3477e7bfa75feb60a834187"},
-	{"Thermal", 77, false, "f75dc44c3611980856c58dc4416e673966987cef3c31330c8fc7d1784a7b60cf"},
-	{"Thermal", 77, true, "1a57be111d585034ee389f7ea1bdd15b8ee0cb37a01056ee00dc75c2b691f98b"},
+	{"RFHome", 1, false, "fp2:232e7dfbc67498e38cad89bdd820f38645338f1daee744d365fcb57c677c69b0"},
+	{"RFHome", 1, true, "fp2:e3e302ef16bcccc93eb7f29709578e7ad5e6a202e95855c277d0f3264b28c658"},
+	{"RFHome", 77, false, "fp2:fb0429750c8bb59ce009c60468495d7bba9a0cdf69e84e8b307d8aab9ff6b809"},
+	{"RFHome", 77, true, "fp2:91f105d989726675cd3a2ddec8033a5e34d6d98349fc1436e7b8ad0f29c04ac1"},
+	{"Solar", 1, false, "fp2:e853a09baab20dd0c030669f619b13eecfe51b5d15ead442e98009acb8b0f974"},
+	{"Solar", 1, true, "fp2:33436426d772e432cc716ab60688bb2c9504f4f83104a63332ff00191085dd76"},
+	{"Solar", 77, false, "fp2:2defa5cfb943496183ce297de6f8047d1b248e92d284d4a4c0ff98720fe06e95"},
+	{"Solar", 77, true, "fp2:215c15d74b33a97c882cc97f6965b2394902b12df21b3d6435fb84f7acf1c1db"},
+	{"Thermal", 1, false, "fp2:4d251408f6c5464efe886b47ba131582be4ce060f447025be2f5c3766d03bc21"},
+	{"Thermal", 1, true, "fp2:dccc1c2990cb632fcb96a80e1dd79ede297138e30580b4fc9519d9f65ee3085f"},
+	{"Thermal", 77, false, "fp2:4c13c46af2453ea598c5bedadb66c87fc1d20daa32d9c77fa85ad41551680311"},
+	{"Thermal", 77, true, "fp2:190505870110033a8072f00e646610112d7dca7842057fd9f3bd2e6e720a160b"},
 }
 
 func goldenConfig(t *testing.T, trace string, seed uint64, full bool) Config {
@@ -62,15 +65,110 @@ func TestFingerprintGolden(t *testing.T) {
 // allocates on its own.
 var raceEnabled bool
 
-// Fingerprint allocated 25 times per call when it hashed the samples eight
-// bytes per Write; batching them must not add a per-call buffer on the heap.
+// Fingerprint allocates 24 times per call, all in formatting the config:
+// neither the trace's identity nor the tagged hex, encoded on the stack, may
+// add a heap allocation.
 func TestFingerprintAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	cfg := goldenConfig(t, "RFHome", 1, true)
-	if n := testing.AllocsPerRun(5, func() { _ = cfg.Fingerprint() }); n > 25 {
-		t.Fatalf("Fingerprint allocates %v times per call, want <= 25", n)
+	if n := testing.AllocsPerRun(5, func() { _ = cfg.Fingerprint() }); n > 24 {
+		t.Fatalf("Fingerprint allocates %v times per call, want <= 24", n)
+	}
+}
+
+func TestFingerprintDistinct(t *testing.T) {
+	samples := make([]float64, 3000)
+	for i := range samples {
+		samples[i] = float64(i%97) * 1e-6
+	}
+	flipped := append([]float64(nil), samples...)
+	flipped[1234] = math.Float64frombits(math.Float64bits(flipped[1234]) ^ 1)
+	longer := append(append([]float64(nil), samples...), 0)
+
+	app, err := workload.ByName("jpeg", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := func(tr *powertrace.Trace) string { return Default(app, tr).Fingerprint() }
+	explicit := fp(powertrace.FromSamples("x", samples))
+	rf1 := fp(powertrace.RFHome(1))
+	for _, c := range []struct {
+		what string
+		a, b string
+	}{
+		{"seed", rf1, fp(powertrace.RFHome(2))},
+		{"source", rf1, fp(powertrace.Solar(1))},
+		{"length", explicit, fp(powertrace.FromSamples("x", longer))},
+		{"one flipped sample", explicit, fp(powertrace.FromSamples("x", flipped))},
+		{"trace name", explicit, fp(powertrace.FromSamples("y", samples))},
+		// Equal samples under different identities: a memo miss, never a
+		// wrong hit.
+		{"explicit copy of a built-in", rf1, fp(powertrace.FromSamples("RFHome", samplesOf(powertrace.RFHome(1))))},
+	} {
+		if c.a == c.b {
+			t.Errorf("changing the %s left the fingerprint at %s", c.what, c.a)
+		}
+	}
+	if again := fp(powertrace.RFHome(1)); again != rf1 {
+		t.Errorf("two RFHome(1) traces fingerprint %s and %s", rf1, again)
+	}
+	if again := fp(powertrace.FromSamples("x", samples)); again != explicit {
+		t.Errorf("two equal explicit traces fingerprint %s and %s", explicit, again)
+	}
+}
+
+func samplesOf(tr *powertrace.Trace) []float64 {
+	var out []float64
+	tr.Each(func(block []float64) { out = append(out, block...) })
+	return out
+}
+
+// Fingerprinting a config, and snapshotting a run (which records the
+// fingerprint), must synthesize no trace sample beyond those the run read.
+func TestFingerprintSynthesizesNoSamples(t *testing.T) {
+	cfg := goldenConfig(t, "RFHome", 1, true)
+	cfg.Fingerprint()
+	if n := cfg.Trace.Synthesized(); n != 0 {
+		t.Fatalf("Fingerprint synthesized %d samples of a fresh trace", n)
+	}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunToCycle(context.Background(), 50_000); err != nil {
+		t.Fatal(err)
+	}
+	read := cfg.Trace.Synthesized()
+	if read == 0 || read >= cfg.Trace.Len() {
+		t.Fatalf("a 50k-cycle run left %d of %d samples synthesized", read, cfg.Trace.Len())
+	}
+	snap, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ConfigHash != cfg.Fingerprint() {
+		t.Fatalf("snapshot ConfigHash %s, want the config's fingerprint", snap.ConfigHash)
+	}
+	if n := cfg.Trace.Synthesized(); n != read {
+		t.Fatalf("Snapshot and Fingerprint grew the synthesized prefix from %d to %d samples", read, n)
+	}
+}
+
+func TestIsLegacyFingerprint(t *testing.T) {
+	for _, c := range []struct {
+		hash   string
+		legacy bool
+	}{
+		{fingerprintGolden[0].want, false},
+		{goldenConfig(t, "Solar", 3, false).Fingerprint(), false},
+		{"56aa515341c96602d523cf42eca90648b5970a513a29cfa742f498d09300473d", true},
+		{"golden-config-fingerprint", true},
+	} {
+		if got := IsLegacyFingerprint(c.hash); got != c.legacy {
+			t.Errorf("IsLegacyFingerprint(%q) = %t, want %t", c.hash, got, c.legacy)
+		}
 	}
 }
 

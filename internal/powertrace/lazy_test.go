@@ -2,6 +2,10 @@ package powertrace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -101,6 +105,66 @@ func TestLazyMatchesEagerReference(t *testing.T) {
 	}
 }
 
+// generatorGolden pins the built-in generators' output at seed 1: the
+// SHA-256 of every sample as its 8 little-endian IEEE-754 bytes.
+var generatorGolden = map[string]string{
+	"RFHome":  "16b77b977629a057bd2eb2c9d661067586ff23211ce55b2706c844ec52b47bb6",
+	"Solar":   "198a3842a02ab4f1da91eb2e802733230a07c3ca769a4728bbcff504dd5c445b",
+	"Thermal": "97f730f9c0f13bfcac4b03c48eccfa28ca0e9806c5d3e7164c55d983dab71fd6",
+}
+
+// A built-in trace's identity names its samples by generatorVersion, so
+// output that changes under the same version would let a fingerprint match
+// a config whose trace differs.
+func TestGeneratorOutputPinnedToVersion(t *testing.T) {
+	for _, name := range Names() {
+		h := sha256.New()
+		for _, p := range eagerGenerate(defaultSamples, 1, builtinParams[name]) {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(p)))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != generatorGolden[name] {
+			t.Errorf("%s seed 1 samples hash to %s, want %s: the generator's output changed. "+
+				"Bump generatorVersion (now %d) in trace.go, then re-record this digest.",
+				name, got, generatorGolden[name], generatorVersion)
+		}
+	}
+}
+
+// A built-in trace's identity is fixed at construction and reads no sample.
+func TestBuiltinIdentity(t *testing.T) {
+	tr := RFHome(7)
+	want := fmt.Sprintf("builtin|RFHome|7|%d|gen%d", defaultSamples, generatorVersion)
+	if got := tr.Identity(); got != want {
+		t.Fatalf("Identity() = %q, want %q", got, want)
+	}
+	if n := tr.Synthesized(); n != 0 {
+		t.Fatalf("Identity synthesized %d samples", n)
+	}
+	tr.Power(3000)
+	if n := tr.Synthesized(); n != 3*chunkLen {
+		t.Fatalf("reading sample 3000 synthesized %d samples, want %d", n, 3*chunkLen)
+	}
+	if tr.Identity() != want {
+		t.Fatal("identity changed after a read")
+	}
+}
+
+// An explicit trace's identity is its samples' digest: equal for equal
+// samples whatever the name, and distinct from the built-in's.
+func TestExplicitIdentity(t *testing.T) {
+	samples := samplesOf(Solar(1))
+	a, b := FromSamples("Solar", samples), FromSamples("other", samples)
+	if a.Identity() != b.Identity() || a.Synthesized() != len(samples) {
+		t.Fatalf("identities %q and %q, synthesized %d", a.Identity(), b.Identity(), a.Synthesized())
+	}
+	if a.Identity() != "samples|"+generatorGolden["Solar"] {
+		t.Fatalf("Identity() = %q, want the samples' digest", a.Identity())
+	}
+	if a.Identity() == Solar(1).Identity() {
+		t.Fatal("an explicit trace shares a built-in's identity")
+	}
+}
+
 // A first read far into a fresh trace synthesizes everything before it in
 // order, so it returns the reference sample and so do earlier indices after.
 func TestLazyLateFirstRead(t *testing.T) {
@@ -196,6 +260,9 @@ func FuzzTraceRead(f *testing.F) {
 		}
 		if back.Name != tr.Name {
 			t.Fatalf("name %q round-trips as %q", tr.Name, back.Name)
+		}
+		if back.Identity() != tr.Identity() {
+			t.Fatalf("identity %q round-trips as %q", tr.Identity(), back.Identity())
 		}
 		again := samplesOf(back)
 		if len(again) != len(samples) {

@@ -16,6 +16,9 @@ package powertrace
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -57,6 +60,8 @@ type Trace struct {
 
 	mu  sync.Mutex // serializes synthesis
 	gen *generator // nil once every chunk is stored
+
+	id string // see Identity
 }
 
 func newTrace(name string, n int) *Trace {
@@ -64,7 +69,8 @@ func newTrace(name string, n int) *Trace {
 }
 
 // FromSamples returns a trace holding a copy of the given samples (watts per
-// 10µs interval).
+// 10µs interval). Its identity is the SHA-256 of the samples, computed here,
+// once.
 func FromSamples(name string, samples []float64) *Trace {
 	t := newTrace(name, len(samples))
 	for k := range t.chunks {
@@ -72,11 +78,47 @@ func FromSamples(name string, samples []float64) *Trace {
 		copy(c[:], samples[k*chunkLen:])
 		t.chunks[k].Store(c)
 	}
+	t.id = "samples|" + samplesDigest(samples)
 	return t
+}
+
+// samplesDigest is the hex SHA-256 of the samples, each as its 8
+// little-endian IEEE-754 bytes, written in batches of 64 through one small
+// buffer.
+func samplesDigest(samples []float64) string {
+	h := sha256.New()
+	var buf [512]byte
+	for len(samples) > 0 {
+		m := min(len(samples), len(buf)/8)
+		for j, s := range samples[:m] {
+			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(s))
+		}
+		h.Write(buf[:8*m])
+		samples = samples[m:]
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Len returns the number of samples before the trace wraps.
 func (t *Trace) Len() int { return t.n }
+
+// Identity names the trace's samples without reading them. A built-in
+// trace is named by its source, seed, length and generatorVersion; a trace
+// built from explicit samples, by their SHA-256. Equal identities mean equal
+// samples. The converse does not hold: an explicit copy of a built-in
+// trace's samples has a different identity from the built-in.
+func (t *Trace) Identity() string { return t.id }
+
+// Synthesized reports how many samples the trace holds so far: the prefix a
+// built-in trace has synthesized, or every sample of an explicit trace.
+func (t *Trace) Synthesized() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.gen == nil {
+		return t.n
+	}
+	return t.gen.i
+}
 
 // Power returns the harvested power during the interval containing the given
 // absolute interval index. The trace wraps around when exhausted.
@@ -217,7 +259,7 @@ func (t *Trace) Write(w io.Writer) error {
 // sets the trace name. Every sample must be a finite, non-negative power.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	name := "unnamed"
+	name := ""
 	var samples []float64
 	line := 0
 	for sc.Scan() {
@@ -228,7 +270,7 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 		if strings.HasPrefix(text, "#") {
 			fields := strings.Fields(strings.TrimPrefix(text, "#"))
-			if len(fields) >= 2 && fields[0] == "trace" {
+			if len(fields) >= 2 && fields[0] == "trace" && name == "" {
 				name = fields[1]
 			}
 			continue
@@ -250,6 +292,9 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("powertrace: empty trace")
+	}
+	if name == "" {
+		name = "unnamed"
 	}
 	return FromSamples(name, samples), nil
 }
@@ -284,10 +329,16 @@ type generator struct {
 	i          int // index of the next sample
 }
 
+// generatorVersion names the output of the built-in generators. It is part
+// of every built-in trace's identity, so bump it whenever a change alters
+// any sample a built-in trace yields for some seed.
+const generatorVersion = 1
+
 // generate returns an n-sample trace whose samples are synthesized on demand.
 func generate(name string, n int, seed uint64, p synthParams) *Trace {
 	r := rng.New(seed ^ p.seedMix)
 	t := newTrace(name, n)
+	t.id = fmt.Sprintf("builtin|%s|%d|%d|gen%d", name, seed, n, generatorVersion)
 	t.gen = &generator{
 		p: p,
 		r: r,

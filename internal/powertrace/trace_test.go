@@ -158,6 +158,25 @@ func TestReadSkipsCommentsAndBlank(t *testing.T) {
 	}
 }
 
+// The first "# trace NAME" comment names the trace; later ones, and a bare
+// "# trace", do not.
+func TestReadFirstTraceCommentNames(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"# trace A\n# trace B\n1e-6\n", "A"},
+		{"# trace\n# trace A B\n1e-6\n# trace C\n", "A"},
+		{"1e-6\n# trace Late\n", "Late"},
+		{"# other A\n1e-6\n", "unnamed"},
+	} {
+		tr, err := Read(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Name != c.want {
+			t.Errorf("Read(%q) names the trace %q, want %q", c.in, tr.Name, c.want)
+		}
+	}
+}
+
 func TestDuration(t *testing.T) {
 	tr := FromSamples("x", make([]float64, 100))
 	if d := tr.Duration(); math.Abs(d-100*IntervalSeconds) > 1e-15 {

@@ -14,8 +14,10 @@ import (
 	"reflect"
 	"testing"
 
+	"kagura/internal/ckpt"
 	"kagura/internal/ehs"
 	"kagura/internal/faultinject"
+	"kagura/internal/store"
 )
 
 func TestRestartSurvivalServesResultsFromDisk(t *testing.T) {
@@ -152,6 +154,90 @@ func TestRestartSurvivalWarmStartCheckpoint(t *testing.T) {
 	}
 	if m.DegradedRuns != 0 {
 		t.Fatalf("DegradedRuns = %d, want 0", m.DegradedRuns)
+	}
+}
+
+// A warm snapshot whose ConfigHash predates the current fingerprint scheme
+// is stale, not corrupt: the fork recomputes the prefix, overwrites the
+// entry, quarantines nothing, and serves what a cold store would.
+func TestLegacyWarmSnapshotIsAMiss(t *testing.T) {
+	base := quickSpec()
+	variant := quickSpec()
+	variant.Scale = 0.005
+	fork := &ForkPoint{Cycles: 500, Base: &base}
+
+	norm, err := base.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseKey, err := norm.key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseCfg, err := norm.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := computeWarmSnapshot(context.Background(), baseCfg, fork.Cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fingerprint as builds before the version tag wrote it.
+	snap.ConfigHash = "56aa515341c96602d523cf42eca90648b5970a513a29cfa742f498d09300473d"
+	blob, err := ckpt.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := warmStoreKey(baseKey, fork.Cycles)
+	if err := st.Put(store.KindCheckpoint, key, blob); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(dir string) (*ehs.Result, MetricsSnapshot) {
+		svc := New(Options{Workers: 2, StoreDir: dir})
+		defer svc.Close()
+		jobs, err := svc.SubmitBatchFork([]RunSpec{variant}, fork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := jobs[0].Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, svc.Metrics()
+	}
+	got, m := run(dir)
+	if m.Store.CorruptEntries != 0 || m.DegradedRuns != 0 || m.WarmStartMisses != 1 {
+		t.Fatalf("corrupt entries %d, degraded runs %d, warm misses %d; want 0, 0, 1",
+			m.Store.CorruptEntries, m.DegradedRuns, m.WarmStartMisses)
+	}
+	cold, _ := run(t.TempDir())
+	if !reflect.DeepEqual(got, cold) {
+		t.Fatal("fork over a legacy snapshot differs from a cold-store fork")
+	}
+
+	st, err = store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st.Metrics().ScanCorrupted; n != 0 {
+		t.Fatalf("%d entries quarantined at rescan", n)
+	}
+	rewritten, ok := st.Get(store.KindCheckpoint, key)
+	if !ok {
+		t.Fatal("warm snapshot entry is gone")
+	}
+	back, err := ckpt.Decode(rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.ConfigHash != baseCfg.Fingerprint() {
+		t.Fatalf("entry still holds ConfigHash %s, want the recomputed %s", back.ConfigHash, baseCfg.Fingerprint())
 	}
 }
 

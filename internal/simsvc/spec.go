@@ -285,8 +285,9 @@ func (sp RunSpec) Config() (ehs.Config, error) {
 
 // ConfigKey returns a content-addressed cache key for an arbitrary simulator
 // configuration: a SHA-256 over every behavior-determining input — the full
-// workload definition, the power trace samples, and all architectural
-// parameters. Two configs with equal keys produce byte-identical results
+// workload definition, the power trace's identity (which names its samples
+// without reading them), and all architectural parameters. Two configs with
+// equal keys produce byte-identical results
 // (runs are deterministic), which is what lets the service memoize across
 // clients that build configs programmatically rather than via RunSpec. The
 // hashing itself lives on ehs.Config so the checkpoint subsystem can stamp

@@ -118,7 +118,8 @@ func warmStoreKey(baseKey string, cycles int64) string {
 // storeGetSnapshot serves a warm-start miss from disk. The decoded
 // snapshot's config fingerprint must match the base config — a mismatch
 // means the entry does not hold what its key promises, so it is quarantined
-// like any other corruption.
+// like any other corruption. A fingerprint in a legacy scheme is stale, not
+// corrupt: it is a plain miss, and the recomputed snapshot overwrites it.
 func (s *Service) storeGetSnapshot(baseCfg ehs.Config, baseKey string, cycles int64) (*ehs.Snapshot, []byte, bool) {
 	if s.store == nil {
 		return nil, nil, false
@@ -129,6 +130,9 @@ func (s *Service) storeGetSnapshot(baseCfg ehs.Config, baseKey string, cycles in
 		return nil, nil, false
 	}
 	snap, err := ckpt.Decode(blob)
+	if err == nil && ehs.IsLegacyFingerprint(snap.ConfigHash) {
+		return nil, nil, false
+	}
 	if err != nil || snap.ConfigHash != baseCfg.Fingerprint() {
 		s.store.Quarantine(store.KindCheckpoint, key)
 		return nil, nil, false
