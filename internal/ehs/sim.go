@@ -16,6 +16,7 @@ package ehs
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"kagura/internal/acc"
 	"kagura/internal/cache"
@@ -66,11 +67,12 @@ type Simulator struct {
 	// Per-event energies in joules, precomputed from the config once (the
 	// products are bit-identical to computing them inline, just hoisted):
 	// pipeline per instruction, cache access, compress/decompress per block
-	// (codec scale folded in).
-	pipeJ   float64
-	accessJ float64
-	compJ   float64
-	decompJ float64
+	// (codec scale folded in), and one NvMR store persist.
+	pipeJ    float64
+	accessJ  float64
+	compJ    float64
+	decompJ  float64
+	persistJ float64
 
 	// Block-size decomposition for the (shared) block size: mask path when
 	// the size is a power of two (every shipped geometry), div fallback kept
@@ -149,6 +151,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.accessJ = pj(cfg.Energy.CacheAccessPJ)
 	s.compJ = pj(cfg.Energy.CompressPJ * s.compScale)
 	s.decompJ = pj(cfg.Energy.DecompressPJ * s.decompScale)
+	s.persistJ = cfg.NVM.WriteEnergy(nvmrPersistBytes)
 	if cfg.Codec != nil && cfg.UseACC {
 		// GCP weights are energy-derived, as in the analytical model of §III:
 		// an avoided miss saves one NVM block fetch, a penalized hit wastes
@@ -206,27 +209,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return s.run(ctx)
 }
 
+// run executes to completion (or the safety cutoff) and finalizes the
+// Result. The caller gets a copy: a retained *Result must not keep the
+// simulator's caches, NVM store and controllers reachable.
 func (s *Simulator) run(ctx context.Context) (*Result, error) {
-	done := ctx.Done()
-	total := s.cfg.App.Len()
-	var sinceCheck int64
-	for s.pos < total && s.time < s.maxCycles {
-		cyclesBefore := s.res.PowerCycles
-		s.step()
-		if done == nil {
-			continue
-		}
-		sinceCheck++
-		if sinceCheck >= ctxCheckInstrs || s.res.PowerCycles != cyclesBefore {
-			sinceCheck = 0
-			select {
-			case <-done:
-				return nil, fmt.Errorf("ehs: run %s aborted: %w", s.cfg.App.Name, ctx.Err())
-			default:
-			}
-		}
+	completed, err := s.RunToCycle(ctx, math.MaxInt64)
+	if err != nil {
+		return nil, err
 	}
-	s.res.Completed = s.pos >= total
+	s.res.Completed = completed
 	s.res.ExecSeconds = float64(s.time) * CyclePeriod
 	s.res.Committed = s.pos
 	s.res.ICache = *s.ic.Stats()
@@ -243,7 +234,8 @@ func (s *Simulator) run(ctx context.Context) (*Result, error) {
 	if s.cfg.CollectCycleLog && s.curCommitted > 0 {
 		s.recordCycle()
 	}
-	return &s.res, nil
+	res := s.res
+	return &res, nil
 }
 
 // spend drains consumed energy from the buffer and books it to a category.
@@ -530,7 +522,7 @@ func (s *Simulator) persistStore(addr uint32) {
 	if s.dc.ReadBlock(base, s.blockBuf) {
 		s.mem.WriteBlock(base, s.blockBuf) // data fidelity; energy accounted below
 	}
-	s.spend(s.cfg.NVM.WriteEnergy(nvmrPersistBytes), &s.res.Energy.Checkpoint)
+	s.spend(s.persistJ, &s.res.Energy.Checkpoint)
 }
 
 // prefetch fetches base into the DCache at LRU priority if absent.

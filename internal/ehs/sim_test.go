@@ -2,7 +2,9 @@ package ehs
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"kagura/internal/compress"
 	"kagura/internal/kagura"
@@ -516,4 +518,64 @@ func TestRunContextCancellation(t *testing.T) {
 	if res.ExecSeconds != ref.ExecSeconds || res.Committed != ref.Committed {
 		t.Fatalf("RunContext diverged from Run: %+v vs %+v", res, ref)
 	}
+}
+
+// TestResultDoesNotPinSimulator keeps only the Result a run returns and
+// checks that the Simulator behind it (caches, NVM store, controllers) is
+// collectable: a service retains thousands of Results, and each must cost
+// its own size, not its simulator's.
+func TestResultDoesNotPinSimulator(t *testing.T) {
+	cfg := testConfig(t, "jpeg").WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig())
+	half, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := half.RunToCycle(context.Background(), midpointCycle(t, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := half.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resume := range []bool{false, true} {
+		res, collected := runAndDropSimulator(t, cfg, resume, snap)
+		if !collected {
+			t.Fatalf("resume=%v: the Simulator is still reachable from its Result", resume)
+		}
+		if !res.Completed || len(res.Cycles) == 0 {
+			t.Fatalf("resume=%v: result lost its contents: completed %v, %d cycle records", resume, res.Completed, len(res.Cycles))
+		}
+	}
+}
+
+// runAndDropSimulator runs cfg (from snap when resume is set), drops every
+// reference but the Result, and reports whether the Simulator's finalizer
+// ran.
+func runAndDropSimulator(t *testing.T, cfg Config, resume bool, snap *Snapshot) (*Result, bool) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resume {
+		if err := s.RestoreSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(s, func(*Simulator) { close(freed) })
+	res, err := s.run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = nil
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return res, true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return res, false
 }

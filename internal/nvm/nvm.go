@@ -135,6 +135,10 @@ type Memory struct {
 	synth     Synthesizer
 	written   map[uint32][]byte // block-aligned address → contents
 
+	// Per-block access energies, evaluated once: the size factor is a
+	// math.Pow that would otherwise run on every block access.
+	readBlockJ, writeBlockJ float64
+
 	// Access counters (block-granularity operations).
 	Reads  int64
 	Writes int64
@@ -147,10 +151,12 @@ func New(cfg Config, blockSize int, synth Synthesizer) *Memory {
 		panic("nvm: non-positive block size")
 	}
 	return &Memory{
-		cfg:       cfg,
-		blockSize: blockSize,
-		synth:     synth,
-		written:   make(map[uint32][]byte),
+		cfg:         cfg,
+		blockSize:   blockSize,
+		synth:       synth,
+		written:     make(map[uint32][]byte),
+		readBlockJ:  cfg.ReadEnergy(blockSize),
+		writeBlockJ: cfg.WriteEnergy(blockSize),
 	}
 }
 
@@ -182,7 +188,7 @@ func (m *Memory) ReadBlock(addr uint32, buf []byte) (latency int, energy float64
 		}
 	}
 	m.Reads++
-	return m.cfg.Params.ReadLatencyCycles, m.cfg.ReadEnergy(m.blockSize)
+	return m.cfg.Params.ReadLatencyCycles, m.readBlockJ
 }
 
 // WriteBlock stores data as the block containing addr and returns latency in
@@ -199,7 +205,7 @@ func (m *Memory) WriteBlock(addr uint32, data []byte) (latency int, energy float
 	}
 	copy(dst, data)
 	m.Writes++
-	return m.cfg.Params.WriteLatencyCycles, m.cfg.WriteEnergy(m.blockSize)
+	return m.cfg.Params.WriteLatencyCycles, m.writeBlockJ
 }
 
 // WriteRaw accounts for an n-byte write that does not go through the block

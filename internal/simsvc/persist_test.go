@@ -216,6 +216,10 @@ func TestLegacyWarmSnapshotIsAMiss(t *testing.T) {
 		t.Fatalf("corrupt entries %d, degraded runs %d, warm misses %d; want 0, 0, 1",
 			m.Store.CorruptEntries, m.DegradedRuns, m.WarmStartMisses)
 	}
+	if m.Store.CheckpointHits != 0 || m.Store.CheckpointMisses != 1 {
+		t.Fatalf("store checkpoint hits %d, misses %d; want 0, 1",
+			m.Store.CheckpointHits, m.Store.CheckpointMisses)
+	}
 	cold, _ := run(t.TempDir())
 	if !reflect.DeepEqual(got, cold) {
 		t.Fatal("fork over a legacy snapshot differs from a cold-store fork")
@@ -238,6 +242,36 @@ func TestLegacyWarmSnapshotIsAMiss(t *testing.T) {
 	}
 	if back.ConfigHash != baseCfg.Fingerprint() {
 		t.Fatalf("entry still holds ConfigHash %s, want the recomputed %s", back.ConfigHash, baseCfg.Fingerprint())
+	}
+}
+
+// A stored result whose payload passes the entry checksum but fails its own
+// decoder is quarantined and booked as a store miss, never as a hit, and the
+// spec recomputes.
+func TestUndecodableStoredResultIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	key := "undecodable-result-key"
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(store.KindResult, key, []byte("not a result")); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := newTestService(t, Options{Workers: 1, StoreDir: dir})
+	want := &ehs.Result{Completed: true, Committed: 7}
+	got, _, err := svc.Do(context.Background(), key, func(context.Context) (*ehs.Result, error) { return want, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("result = %+v, want the recomputed %+v", got, want)
+	}
+	m := svc.Metrics().Store
+	if m.ResultHits != 0 || m.ResultMisses != 1 || m.CorruptEntries != 1 {
+		t.Fatalf("store result hits %d, misses %d, corrupt %d; want 0, 1, 1",
+			m.ResultHits, m.ResultMisses, m.CorruptEntries)
 	}
 }
 

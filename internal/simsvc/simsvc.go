@@ -1187,14 +1187,16 @@ func (s *Service) evictCacheLocked() {
 }
 
 // resultBytes estimates the retained size of a cached result: the struct
-// header plus its dominant slice, the per-interval cycle records. An estimate
-// is enough — the kagura_cache_bytes gauge exists to show growth and the
-// effect of eviction, not to account for the allocator.
+// plus the backing array of its cycle log. A Result owns nothing of the
+// Simulator that produced it, so that is all a cached result keeps alive;
+// the entry's map slot, LRU element and key string are not counted. An
+// estimate is enough — the kagura_cache_bytes gauge exists to show growth and
+// the effect of eviction, not to account for the allocator.
 func resultBytes(r *ehs.Result) int {
 	if r == nil {
 		return 0
 	}
-	return int(unsafe.Sizeof(*r)) + len(r.Cycles)*int(unsafe.Sizeof(ehs.CycleRecord{}))
+	return int(unsafe.Sizeof(*r)) + cap(r.Cycles)*int(unsafe.Sizeof(ehs.CycleRecord{}))
 }
 
 // noteError books a taxonomy-coded failure that never became a job (request

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -763,4 +764,53 @@ func TestNonFiniteSpecRejected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSettledJobsRetainOnlyTheirResults settles distinct codec specs through
+// Do and measures the heap they leave behind: each retained job and cache
+// entry holds a Result of about half a kilobyte, never the Simulator that
+// produced it (its caches alone are well over 100 KiB).
+func TestSettledJobsRetainOnlyTheirResults(t *testing.T) {
+	const jobs = 64
+	const maxPerJob = 16 << 10
+	svc := newTestService(t, Options{Workers: 2})
+	settle := func(seed uint64) {
+		spec := quickSpec()
+		spec.Seed = seed
+		key, err := spec.key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := spec.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := svc.Do(context.Background(), key, func(ctx context.Context) (*ehs.Result, error) {
+			return ehs.RunContext(ctx, cfg)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One settled job first, so lazily built service state is not counted.
+	settle(jobs + 1)
+	before := heapInUse()
+	for seed := uint64(1); seed <= jobs; seed++ {
+		settle(seed)
+	}
+	perJob := (int64(heapInUse()) - int64(before)) / jobs
+	if n := svc.CacheLen(); n != jobs+1 {
+		t.Fatalf("cache holds %d results, want %d", n, jobs+1)
+	}
+	t.Logf("retained heap per settled job: %d B", perJob)
+	if perJob > maxPerJob {
+		t.Fatalf("each settled job retains %d B of heap, want ≤ %d", perJob, maxPerJob)
+	}
+}
+
+// heapInUse returns the bytes of live heap objects after a full collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

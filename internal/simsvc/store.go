@@ -90,22 +90,18 @@ func (s *Service) publishStoreLocked(kind store.Kind, key string, encode func() 
 
 // storeGetResult serves a result-cache miss from disk. A payload that fails
 // its decoder slipped past the entry checksum (it was corrupted before the
-// checksum was computed — the torn-write chaos shape): quarantine it and
-// miss, never surface the error.
+// checksum was computed — the torn-write chaos shape): the store quarantines
+// it and the read misses, never surfacing the error.
 func (s *Service) storeGetResult(key string) (*ehs.Result, bool) {
 	if s.store == nil {
 		return nil, false
 	}
-	blob, ok := s.store.Get(store.KindResult, key)
-	if !ok {
-		return nil, false
-	}
-	res, err := ckpt.DecodeResult(blob)
-	if err != nil {
-		s.store.Quarantine(store.KindResult, key)
-		return nil, false
-	}
-	return res, true
+	var res *ehs.Result
+	ok := s.store.Load(store.KindResult, key, func(blob []byte) (err error) {
+		res, err = ckpt.DecodeResult(blob)
+		return err
+	})
+	return res, ok
 }
 
 // warmStoreKey is the persistent-tier key for a warm-start snapshot: the
@@ -117,25 +113,28 @@ func warmStoreKey(baseKey string, cycles int64) string {
 
 // storeGetSnapshot serves a warm-start miss from disk. The decoded
 // snapshot's config fingerprint must match the base config — a mismatch
-// means the entry does not hold what its key promises, so it is quarantined
-// like any other corruption. A fingerprint in a legacy scheme is stale, not
-// corrupt: it is a plain miss, and the recomputed snapshot overwrites it.
+// means the entry does not hold what its key promises, so the store
+// quarantines it like any other corruption. A fingerprint in a legacy scheme
+// is stale, not corrupt: it is a plain miss, and the recomputed snapshot
+// overwrites it.
 func (s *Service) storeGetSnapshot(baseCfg ehs.Config, baseKey string, cycles int64) (*ehs.Snapshot, []byte, bool) {
 	if s.store == nil {
 		return nil, nil, false
 	}
-	key := warmStoreKey(baseKey, cycles)
-	blob, ok := s.store.Get(store.KindCheckpoint, key)
-	if !ok {
-		return nil, nil, false
-	}
-	snap, err := ckpt.Decode(blob)
-	if err == nil && ehs.IsLegacyFingerprint(snap.ConfigHash) {
-		return nil, nil, false
-	}
-	if err != nil || snap.ConfigHash != baseCfg.Fingerprint() {
-		s.store.Quarantine(store.KindCheckpoint, key)
-		return nil, nil, false
-	}
-	return snap, blob, true
+	var snap *ehs.Snapshot
+	var blob []byte
+	ok := s.store.Load(store.KindCheckpoint, warmStoreKey(baseKey, cycles), func(p []byte) error {
+		got, err := ckpt.Decode(p)
+		switch {
+		case err != nil:
+			return err
+		case ehs.IsLegacyFingerprint(got.ConfigHash):
+			return store.ErrStale
+		case got.ConfigHash != baseCfg.Fingerprint():
+			return fmt.Errorf("simsvc: warm snapshot fingerprint %s, want %s", got.ConfigHash, baseCfg.Fingerprint())
+		}
+		snap, blob = got, p
+		return nil
+	})
+	return snap, blob, ok
 }

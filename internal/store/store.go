@@ -30,6 +30,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -248,42 +249,91 @@ func readHeader(path string) (Header, error) {
 	return DecodeHeader(buf[:n])
 }
 
+// ErrStale is the verdict a Load caller returns for a payload that is intact
+// but written under a scheme it no longer accepts: a plain miss, with the
+// entry left in place for the recomputed value to overwrite.
+var ErrStale = errors.New("store: stale entry")
+
 // Get returns the payload stored under (kind, key), or ok=false on a miss.
 // A present-but-corrupt entry — bad header, wrong length, checksum mismatch
 // — is quarantined and reported as a miss: the caller recomputes, the bad
 // bytes never reach a decoder downstream, and the evidence is kept aside.
+// Every well-framed entry counts as a hit; a caller that must also check the
+// payload itself uses Load.
 func (s *Store) Get(kind Kind, key string) ([]byte, bool) {
+	var payload []byte
+	ok := s.Load(kind, key, func(p []byte) error {
+		payload = p
+		return nil
+	})
+	return payload, ok
+}
+
+// Load reads the entry under (kind, key) as Get does and hands its payload
+// to accept, which decodes and checks it; the outcome is booked from accept's
+// verdict. nil is a hit. An error wrapping ErrStale is a miss. Any other
+// error is damage the entry checksum cannot see (the payload fails its own
+// decoder, or holds something other than what its key promises): the entry
+// is quarantined and the read counts as a miss. accept runs without the
+// store lock held.
+func (s *Store) Load(kind Kind, key string, accept func(payload []byte) error) bool {
+	ek := entryKey{kind: kind, key: key}
+	payload, m := s.read(ek)
+	if m == nil {
+		return false
+	}
+	err := accept(payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ek := entryKey{kind: kind, key: key}
+	// A Put while accept ran replaced the index record: the verdict is about
+	// the old bytes, so it neither refreshes nor quarantines the new entry.
+	current := s.index[ek] == m
+	switch {
+	case err == nil:
+		if current {
+			s.clock++
+			m.access = s.clock
+		}
+		s.met.hits[kind]++
+		return true
+	case current && !errors.Is(err, ErrStale):
+		s.quarantineLocked(ek, m)
+	}
+	s.met.misses[kind]++
+	return false
+}
+
+// read returns the framed payload of an indexed entry and its index record.
+// On a miss — absent, unreadable or corrupt, the last quarantined — it books
+// the miss and returns a nil record.
+func (s *Store) read(ek entryKey) ([]byte, *meta) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	m := s.index[ek]
 	if m == nil {
-		s.met.misses[kind]++
-		return nil, false
+		s.met.misses[ek.kind]++
+		return nil, nil
 	}
 	if err := fpRead.FireErr(); err != nil {
-		s.met.misses[kind]++
-		return nil, false
+		s.met.misses[ek.kind]++
+		return nil, nil
 	}
 	data, err := os.ReadFile(m.path)
 	if err != nil {
 		// The file is gone or unreadable (external deletion, IO error):
 		// drop the index entry and miss.
 		s.dropLocked(ek, m)
-		s.met.misses[kind]++
-		return nil, false
+		s.met.misses[ek.kind]++
+		return nil, nil
 	}
 	data = fpRead.CorruptBytes(data)
 	h, payload, err := DecodeEntry(data)
-	if err != nil || h.Kind != kind || h.Key != key {
+	if err != nil || h.Kind != ek.kind || h.Key != ek.key {
 		s.quarantineLocked(ek, m)
-		s.met.misses[kind]++
-		return nil, false
+		s.met.misses[ek.kind]++
+		return nil, nil
 	}
-	s.clock++
-	m.access = s.clock
-	s.met.hits[kind]++
-	return payload, true
+	return payload, m
 }
 
 // Put stores payload under (kind, key), replacing any previous entry, and

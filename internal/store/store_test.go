@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -489,5 +490,80 @@ func TestQuarantineKeepsEarlierEvidence(t *testing.T) {
 		if n := quarantineCount(t, dir); n != run {
 			t.Fatalf("after open %d quarantine holds %d files, want %d", run, n, run)
 		}
+	}
+}
+
+// TestLoadBooksTheCallersVerdict pins Load's accounting: a hit is booked
+// only when the caller accepts the payload; a stale verdict is a miss that
+// keeps the entry; any other rejection is a miss that quarantines it.
+func TestLoadBooksTheCallersVerdict(t *testing.T) {
+	damaged := errors.New("payload fails its decoder")
+	cases := []struct {
+		name            string
+		verdict         error
+		hit, kept       bool
+		corrupt, misses int64
+	}{
+		{"accepted", nil, true, true, 0, 0},
+		{"stale", fmt.Errorf("old scheme: %w", ErrStale), false, true, 0, 1},
+		{"rejected", damaged, false, false, 1, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newTestStore(t, Options{Dir: dir})
+			if err := s.Put(KindCheckpoint, "k", []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			var seen []byte
+			hit := s.Load(KindCheckpoint, "k", func(p []byte) error {
+				seen = p
+				return tc.verdict
+			})
+			if hit != tc.hit || string(seen) != "payload" {
+				t.Fatalf("Load = %v after seeing %q; want %v after %q", hit, seen, tc.hit, "payload")
+			}
+			m := s.Metrics()
+			wantHits := int64(0)
+			if tc.hit {
+				wantHits = 1
+			}
+			if m.CheckpointHits != wantHits || m.CheckpointMisses != tc.misses || m.CorruptEntries != tc.corrupt {
+				t.Fatalf("hits %d, misses %d, corrupt %d; want %d, %d, %d",
+					m.CheckpointHits, m.CheckpointMisses, m.CorruptEntries, wantHits, tc.misses, tc.corrupt)
+			}
+			if kept := s.Len() == 1; kept != tc.kept {
+				t.Fatalf("entry kept = %v, want %v", kept, tc.kept)
+			}
+			if n := quarantineCount(t, dir); n != int(tc.corrupt) {
+				t.Fatalf("quarantine holds %d files, want %d", n, tc.corrupt)
+			}
+		})
+	}
+}
+
+// TestLoadRejectionSparesAReplacedEntry rejects a payload while a Put lands
+// the entry's successor: the verdict is about the old bytes, so the new
+// entry must stay indexed and readable.
+func TestLoadRejectionSparesAReplacedEntry(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestStore(t, Options{Dir: dir})
+	if err := s.Put(KindResult, "k", []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if s.Load(KindResult, "k", func([]byte) error {
+		if err := s.Put(KindResult, "k", []byte("new")); err != nil {
+			t.Error(err)
+		}
+		return errors.New("old payload fails its decoder")
+	}) {
+		t.Fatal("a rejected payload was served")
+	}
+	got, ok := s.Get(KindResult, "k")
+	if !ok || string(got) != "new" {
+		t.Fatalf("Get = %q, %v; want the replacement", got, ok)
+	}
+	if m := s.Metrics(); m.CorruptEntries != 0 || quarantineCount(t, dir) != 0 {
+		t.Fatalf("corrupt %d, quarantine %d; want the replacement left alone", m.CorruptEntries, quarantineCount(t, dir))
 	}
 }

@@ -381,7 +381,12 @@ func (c *Cursor) refill(i int64) *Instr {
 				word %= codeWords
 			}
 		}
-		ins := Instr{PC: codeBase + uint32(word)*4}
+		// Fields are written into the window in place: building the Instr
+		// in a local and copying it stalls the 16-byte load of the copy on
+		// the narrower stores that built it.
+		ins := &buf[k]
+		ins.PC = codeBase + uint32(word)*4
+		ins.IsMem, ins.IsStore, ins.Addr, ins.Value = false, false, 0, 0
 		if slot.Kind != Arith {
 			ins.IsMem = true
 			ins.IsStore = slot.Kind == Store
@@ -403,7 +408,6 @@ func (c *Cursor) refill(i int64) *Instr {
 				ins.Value = ClassValue(r.Class, ins.Addr, valSeed)
 			}
 		}
-		buf[k] = ins
 		pos++
 		if pos == int(bodyLen) {
 			pos = 0
