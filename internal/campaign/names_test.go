@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -76,5 +77,22 @@ func TestCampaignPrometheusByteStable(t *testing.T) {
 	}
 	if err := obs.ValidateExposition(first); err != nil {
 		t.Fatalf("campaign exposition does not validate: %v", err)
+	}
+}
+
+// TestCampaignPrometheusGolden pins the campaign exposition bytes of a fixed
+// snapshot with every counter non-zero and distinct; a change here is a
+// deliberate edit of testdata/metrics.prom.
+func TestCampaignPrometheusGolden(t *testing.T) {
+	snap := MetricsSnapshot{
+		Completed: 1, Failed: 2, Running: 3, PointsSubmitted: 4, Rounds: 5,
+		DispatchRetries: 6, ExportsJSON: 7, ExportsCSV: 8, Resumed: 9,
+	}
+	want, err := os.ReadFile("testdata/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Prometheus(); got != string(want) {
+		t.Fatalf("campaign exposition drifted from testdata/metrics.prom:\n%s", got)
 	}
 }
