@@ -1,41 +1,21 @@
 // Command kagura-vet is the driver for kagura's project-specific static
 // analyzers (internal/lint): simdeterminism, lockedblock, mapiterorder,
-// floateq, atomicwrite, boundeddecode, errtaxonomy, faultpoint, and
-// metricstable. It runs two ways:
-//
-// Standalone, over package patterns (the CI entry point):
+// floateq, atomicwrite, boundeddecode, errtaxonomy, and discardenc. It runs
+// over package patterns:
 //
 //	go run ./cmd/kagura-vet ./...
 //	kagura-vet -sarif ./... > lint.sarif
 //	kagura-vet ./internal/simsvc ./internal/ehs
 //
-// Packages are analyzed in dependency order so cross-package facts (the
-// fault-point registry, the metric catalog, bounded-length helpers) resolve.
-// When the analyzed set covers the whole module, the whole-module Finish
-// checks run too (orphaned registry entries), and -unusedallow (on by
-// default) reports //kagura:allow annotations that suppressed nothing.
-// Exit status: 0 clean, 1 findings, 2 tool failure.
-//
-// As a go vet tool, speaking vet's unit-checker protocol (-V=full handshake,
-// then one JSON .cfg per package with export-data import maps):
-//
-//	go vet -vettool=$(which kagura-vet) ./...
-//
-// In vet mode facts travel in the .vetx files vet already plumbs between
-// packages (PackageVetx in, VetxOutput out); the Finish checks need the
-// whole module at once and run only in standalone mode. Findings exit 2,
-// matching x/tools' unitchecker convention.
+// Only the requested packages are analyzed; every analyzer checks one package
+// at a time. -unusedallow (on by default) reports //kagura:allow annotations
+// that suppressed nothing. Exit status: 0 clean, 1 findings, 2 tool failure.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -45,63 +25,20 @@ import (
 )
 
 func main() {
-	// go vet probes tools with -V=full before anything else; the output is
-	// its cache key for this tool.
-	versionFlag := flag.Bool("V", false, "print version and exit (go vet protocol)")
 	jsonFlag := flag.Bool("json", false, "emit diagnostics as JSON")
 	sarifFlag := flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
 	listFlag := flag.Bool("list", false, "list analyzers and exit")
-	unusedFlag := flag.Bool("unusedallow", true, "report //kagura:allow annotations that suppress nothing (standalone whole-module runs)")
+	unusedFlag := flag.Bool("unusedallow", true, "report //kagura:allow annotations that suppress nothing")
 	flag.Usage = usage
-	// Accept -V=full (a non-boolean value) the way vet passes it, and answer
-	// the -flags probe go vet uses to learn which flags the tool accepts.
-	for i, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			os.Args[i+1] = "-V"
-		case "-flags", "--flags":
-			printFlagsJSON()
-			return
-		}
-	}
 	flag.Parse()
 
-	switch {
-	case *versionFlag:
-		names := make([]string, 0, len(lint.All()))
-		for _, a := range lint.All() {
-			names = append(names, a.Name)
-		}
-		fmt.Printf("kagura-vet version 2 (%s)\n", strings.Join(names, ","))
-		return
-	case *listFlag:
+	if *listFlag {
 		for _, a := range lint.All() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0], *jsonFlag))
-	}
-	os.Exit(runStandalone(args, *jsonFlag, *sarifFlag, *unusedFlag))
-}
-
-// printFlagsJSON answers go vet's -flags probe: a JSON description of the
-// tool's flags, which vet uses to decide what it may forward.
-func printFlagsJSON() {
-	type flagDesc struct {
-		Name  string `json:"Name"`
-		Bool  bool   `json:"Bool"`
-		Usage string `json:"Usage"`
-	}
-	var descs []flagDesc
-	flag.VisitAll(func(f *flag.Flag) {
-		_, isBool := f.Value.(interface{ IsBoolFlag() bool })
-		descs = append(descs, flagDesc{Name: f.Name, Bool: isBool, Usage: f.Usage})
-	})
-	json.NewEncoder(os.Stdout).Encode(descs)
+	os.Exit(run(flag.Args(), *jsonFlag, *sarifFlag, *unusedFlag))
 }
 
 func usage() {
@@ -111,9 +48,9 @@ func usage() {
 	}
 }
 
-// runStandalone loads the given package patterns from source and analyzes
-// them in dependency order. Returns the process exit code.
-func runStandalone(patterns []string, asJSON, asSARIF, unusedAllow bool) int {
+// run loads the given package patterns from source and analyzes each
+// requested package. Returns the process exit code.
+func run(patterns []string, asJSON, asSARIF, unusedAllow bool) int {
 	loader, err := lint.NewLoader(".")
 	if err != nil {
 		return fail(err)
@@ -122,37 +59,22 @@ func runStandalone(patterns []string, asJSON, asSARIF, unusedAllow bool) int {
 	if err != nil {
 		return fail(err)
 	}
-	requested := make(map[string]bool, len(paths))
-	for _, path := range paths {
-		if _, err := loader.Load(path); err != nil {
-			return fail(fmt.Errorf("loading %s: %w", path, err))
-		}
-		requested[path] = true
-	}
 	suite := lint.NewSuite(lint.All())
 	// The unused-suppression report is only sound when every analyzer ran
 	// over the annotation's package, which RunPackage guarantees; it is
 	// reported per package, so partial runs are fine.
 	suite.ReportUnusedAllow = unusedAllow
-	// Loaded() also holds the module-local dependencies the requested
-	// packages pulled in; analyzing them too (diagnostics kept only for the
-	// requested set) is what makes cross-package facts — the fault-point
-	// registry, the metric catalog — resolve on partial runs.
 	var diags []lint.Diagnostic
-	for _, pkg := range lint.TopoSort(loader.Loaded()) {
+	for _, path := range paths {
+		pkg, err := loader.Load(path)
+		if err != nil {
+			return fail(fmt.Errorf("loading %s: %w", path, err))
+		}
 		ds, err := suite.RunPackage(pkg)
 		if err != nil {
 			return fail(err)
 		}
-		if requested[pkg.Path] {
-			diags = append(diags, ds...)
-		}
-	}
-	// Whole-module checks (orphaned registry entries, dead catalog rows) are
-	// only meaningful when the analyzed set is the whole module; on a partial
-	// run every consumer outside the set would look like an orphan.
-	if coversModule(loader, paths) {
-		diags = append(diags, suite.Finish()...)
+		diags = append(diags, ds...)
 	}
 	lint.SortDiagnostics(diags)
 	switch {
@@ -165,25 +87,6 @@ func runStandalone(patterns []string, asJSON, asSARIF, unusedAllow bool) int {
 		return 1
 	}
 	return 0
-}
-
-// coversModule reports whether the analyzed import paths include every
-// package in the module.
-func coversModule(loader *lint.Loader, analyzed []string) bool {
-	all, err := loader.Expand([]string{"./..."})
-	if err != nil {
-		return false
-	}
-	have := make(map[string]bool, len(analyzed))
-	for _, p := range analyzed {
-		have[p] = true
-	}
-	for _, p := range all {
-		if !have[p] {
-			return false
-		}
-	}
-	return true
 }
 
 // emit prints diagnostics, with positions relative to the module root so
@@ -267,16 +170,12 @@ func emitSARIF(w io.Writer, diags []lint.Diagnostic, modDir string) {
 	}
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
-		file := d.Pos.Filename
-		if rel, err := filepath.Rel(modDir, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = filepath.ToSlash(rel)
-		}
 		results = append(results, sarifResult{
 			RuleID:  d.Analyzer,
 			Level:   "error",
 			Message: sarifMessage{Text: d.Message},
 			Locations: []sarifLocation{{PhysicalLocation: sarifPhysicalLocation{
-				ArtifactLocation: sarifArtifactLocation{URI: file},
+				ArtifactLocation: sarifArtifactLocation{URI: relFile(d.Pos.Filename, modDir)},
 				Region:           sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
 			}}},
 		})
@@ -295,180 +194,19 @@ func emitSARIF(w io.Writer, diags []lint.Diagnostic, modDir string) {
 }
 
 func relPos(d lint.Diagnostic, modDir string) string {
-	file := d.Pos.Filename
-	if modDir != "" {
-		if rel, err := filepath.Rel(modDir, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = rel
-		}
+	return fmt.Sprintf("%s:%d:%d", relFile(d.Pos.Filename, modDir), d.Pos.Line, d.Pos.Column)
+}
+
+// relFile returns file relative to the module root, slash-separated, or file
+// unchanged when it lies outside the module.
+func relFile(file, modDir string) string {
+	if rel, err := filepath.Rel(modDir, file); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
 	}
-	return fmt.Sprintf("%s:%d:%d", file, d.Pos.Line, d.Pos.Column)
+	return file
 }
 
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "kagura-vet:", err)
 	return 2
-}
-
-// vetConfig is the JSON unit-checker configuration go vet hands each tool,
-// one file per package (the subset of fields this driver needs).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetUnit analyzes one package described by a vet .cfg file. Returns the
-// process exit code (0 clean, 1 failure, 2 findings — unitchecker's
-// convention, which go vet surfaces as the findings themselves).
-//
-// Cross-package facts ride vet's own fact plumbing: the facts of every
-// dependency arrive serialized in the PackageVetx files, and this package's
-// facts leave through VetxOutput — so the analyzers run even on VetxOnly
-// (facts-only) units, with diagnostics discarded.
-func runVetUnit(cfgFile string, asJSON bool) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		return vetFail(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return vetFail(fmt.Errorf("%s: %w", cfgFile, err))
-	}
-	// Written unconditionally (possibly empty) before any early return: vet
-	// requires the file to exist for its action cache even when this unit
-	// contributes nothing.
-	writeVetx := func(facts []lint.Fact) int {
-		if cfg.VetxOutput == "" {
-			return 0
-		}
-		payload, err := lint.EncodeFacts(facts)
-		if err != nil {
-			return vetFail(err)
-		}
-		if len(facts) == 0 {
-			payload = nil
-		}
-		if err := os.WriteFile(cfg.VetxOutput, payload, 0o666); err != nil {
-			return vetFail(err)
-		}
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// Test files are exempt from the suite by design (see internal/lint):
-		// vet also invokes the tool on test variants of each package.
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if code := writeVetx(nil); code != 0 {
-				return code
-			}
-			return typecheckFailed(cfg, err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return writeVetx(nil)
-	}
-
-	// Imports resolve through the export data the go command already built,
-	// exactly as x/tools' unitchecker does it.
-	compilerImp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := mapImporter{cfg: &cfg, under: compilerImp}
-	tconf := types.Config{Importer: imp, Sizes: types.SizesFor(cfg.Compiler, "amd64")}
-	info := lint.NewInfo()
-	tpkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if code := writeVetx(nil); code != 0 {
-			return code
-		}
-		return typecheckFailed(cfg, err)
-	}
-
-	pkg := &lint.Package{
-		Path:  cfg.ImportPath,
-		Dir:   cfg.Dir,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	suite := lint.NewSuite(lint.All())
-	for _, vetxFile := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetxFile)
-		if err != nil {
-			continue // a dependency that exported nothing may have no file
-		}
-		facts, err := lint.DecodeFacts(data)
-		if err != nil {
-			return vetFail(fmt.Errorf("%s: %w", vetxFile, err))
-		}
-		suite.Facts.AddAll(facts)
-	}
-	diags, err := suite.RunPackage(pkg)
-	if err != nil {
-		return vetFail(err)
-	}
-	if code := writeVetx(suite.Facts.PkgFacts(cfg.ImportPath)); code != 0 {
-		return code
-	}
-	if cfg.VetxOnly || len(diags) == 0 {
-		return 0
-	}
-	if asJSON {
-		emit(os.Stdout, diags, true, "")
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: [%s] %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-	}
-	return 2
-}
-
-func typecheckFailed(cfg vetConfig, err error) int {
-	if cfg.SucceedOnTypecheckFailure {
-		return 0
-	}
-	return vetFail(err)
-}
-
-func vetFail(err error) int {
-	fmt.Fprintln(os.Stderr, "kagura-vet:", err)
-	return 1
-}
-
-// mapImporter translates import paths through the vet config's ImportMap
-// before delegating to the export-data importer.
-type mapImporter struct {
-	cfg   *vetConfig
-	under types.Importer
-}
-
-func (m mapImporter) Import(path string) (*types.Package, error) {
-	if mapped, ok := m.cfg.ImportMap[path]; ok {
-		path = mapped
-	}
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	return m.under.Import(path)
 }

@@ -40,7 +40,7 @@ func TestCampaignChaosDispatchSettlesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chaotic campaign failed to settle: %v", err)
 	}
-	if faultinject.Fires("campaign.dispatch") == 0 {
+	if faultinject.CampaignDispatch.Fires() == 0 {
 		t.Fatalf("no dispatch faults fired; the chaos plan is not exercising the engine")
 	}
 	if met.Snapshot().DispatchRetries == 0 {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"kagura/internal/ehs"
+	"kagura/internal/faultinject"
 	"kagura/internal/journal"
 	"kagura/internal/simsvc"
 )
@@ -313,7 +314,7 @@ func (r *Runner) journalDone() {
 func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs []simsvc.RunSpec, fork *simsvc.ForkPoint) ([]*ehs.Result, error) {
 	var jobs []*simsvc.Job
 	for attempt := 0; ; attempt++ {
-		err := fpDispatch.Fire(ctx)
+		err := faultinject.CampaignDispatch.Fire(ctx)
 		if err == nil {
 			jobs, err = r.Svc.SubmitBatchFork(specs, fork)
 			if err == nil {

@@ -1,14 +1,14 @@
 package campaign
 
 import (
-	"fmt"
 	"strings"
 	"sync"
+
+	"kagura/internal/obs"
 )
 
 // Metrics holds the campaign-engine counters behind the kagura_campaign_*
-// exposition families (the obs names catalog lists them; the metricstable
-// analyzer ties every literal below to it). Every method is nil-safe so the
+// exposition families (typed values of the obs catalog). Every method is nil-safe so the
 // Runner works without metrics wired.
 type Metrics struct {
 	mu              sync.Mutex
@@ -146,29 +146,16 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 // value enumerated, never a map range (DESIGN.md §11).
 func (s MetricsSnapshot) Prometheus() string {
 	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
-	w("# HELP kagura_campaigns_total Campaigns by terminal outcome.\n")
-	w("# TYPE kagura_campaigns_total counter\n")
-	w("kagura_campaigns_total{state=\"completed\"} %d\n", s.Completed)
-	w("kagura_campaigns_total{state=\"failed\"} %d\n", s.Failed)
-	w("# HELP kagura_campaign_running Campaigns currently executing.\n")
-	w("# TYPE kagura_campaign_running gauge\n")
-	w("kagura_campaign_running %d\n", s.Running)
-	w("# HELP kagura_campaign_points_submitted_total Sweep points dispatched to the simulation service.\n")
-	w("# TYPE kagura_campaign_points_submitted_total counter\n")
-	w("kagura_campaign_points_submitted_total %d\n", s.PointsSubmitted)
-	w("# HELP kagura_campaign_rounds_total Strategy waves executed.\n")
-	w("# TYPE kagura_campaign_rounds_total counter\n")
-	w("kagura_campaign_rounds_total %d\n", s.Rounds)
-	w("# HELP kagura_campaign_dispatch_retries_total Batch dispatches retried after transient failures.\n")
-	w("# TYPE kagura_campaign_dispatch_retries_total counter\n")
-	w("kagura_campaign_dispatch_retries_total %d\n", s.DispatchRetries)
-	w("# HELP kagura_campaign_exports_total Report exports served, by format.\n")
-	w("# TYPE kagura_campaign_exports_total counter\n")
-	w("kagura_campaign_exports_total{format=\"json\"} %d\n", s.ExportsJSON)
-	w("kagura_campaign_exports_total{format=\"csv\"} %d\n", s.ExportsCSV)
-	w("# HELP kagura_campaign_resumed_total Campaigns relaunched from the crash journal.\n")
-	w("# TYPE kagura_campaign_resumed_total counter\n")
-	w("kagura_campaign_resumed_total %d\n", s.Resumed)
+	obs.MetricCampaignsTotal.Header(&b)
+	obs.MetricCampaignsTotal.Sample(&b, `state="completed"`, s.Completed)
+	obs.MetricCampaignsTotal.Sample(&b, `state="failed"`, s.Failed)
+	obs.MetricCampaignRunning.Single(&b, s.Running)
+	obs.MetricCampaignPointsSubmitted.Single(&b, s.PointsSubmitted)
+	obs.MetricCampaignRoundsTotal.Single(&b, s.Rounds)
+	obs.MetricCampaignDispatchRetries.Single(&b, s.DispatchRetries)
+	obs.MetricCampaignExportsTotal.Header(&b)
+	obs.MetricCampaignExportsTotal.Sample(&b, `format="json"`, s.ExportsJSON)
+	obs.MetricCampaignExportsTotal.Sample(&b, `format="csv"`, s.ExportsCSV)
+	obs.MetricCampaignResumedTotal.Single(&b, s.Resumed)
 	return b.String()
 }

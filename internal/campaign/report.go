@@ -9,6 +9,7 @@ import (
 
 	"kagura/internal/area"
 	"kagura/internal/ehs"
+	"kagura/internal/faultinject"
 	"kagura/internal/simsvc"
 )
 
@@ -194,7 +195,7 @@ func paretoFrontier(points []PointReport) []int {
 // Byte-stable: struct field order is fixed, floats use Go's shortest
 // round-trip formatting, and the report carries no run-time provenance.
 func (r *Report) ExportJSON() ([]byte, error) {
-	if err := fpExport.FireErr(); err != nil {
+	if err := faultinject.CampaignExport.FireErr(); err != nil {
 		return nil, err
 	}
 	blob, err := json.MarshalIndent(r, "", "  ")
@@ -227,7 +228,7 @@ func csvValue(raw json.RawMessage) string {
 // points leave un-varied axes empty), the metric columns, and best/pareto
 // membership flags. Same determinism contract as ExportJSON.
 func (r *Report) ExportCSV() ([]byte, error) {
-	if err := fpExport.FireErr(); err != nil {
+	if err := faultinject.CampaignExport.FireErr(); err != nil {
 		return nil, err
 	}
 	var b strings.Builder

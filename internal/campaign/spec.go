@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 
+	"kagura/internal/faultinject"
 	"kagura/internal/simsvc"
 )
 
@@ -188,7 +189,7 @@ func ParamNames() []string {
 // normalize. The returned spec has defaults applied (seed, mode, strategy,
 // batch size).
 func DecodeSpec(r io.Reader) (*Spec, error) {
-	if err := fpDecode.FireErr(); err != nil {
+	if err := faultinject.CampaignDecode.FireErr(); err != nil {
 		return nil, err
 	}
 	blob, err := io.ReadAll(io.LimitReader(r, MaxSpecBytes+1))

@@ -30,15 +30,6 @@ import (
 	"kagura/internal/nvm"
 )
 
-// Fault-injection points on the checkpoint codec. fpEncode fires at the
-// start of Encode, so chaos plans can kill checkpointing upstream of file
-// IO. fpDecode corrupts checkpoint bytes before parsing, exercising Decode's
-// hardening (and the service's degrade-to-cold path) end to end.
-var (
-	fpEncode = faultinject.Point("ckpt.encode")
-	fpDecode = faultinject.Point("ckpt.decode")
-)
-
 // Magic identifies a kagura checkpoint file.
 const Magic = "KAGCKPT\x00"
 
@@ -53,7 +44,7 @@ const maxHashLen = 128
 // Encode serializes a snapshot. The output is deterministic: equal snapshots
 // produce equal bytes.
 func Encode(snap *ehs.Snapshot) ([]byte, error) {
-	if err := fpEncode.FireErr(); err != nil {
+	if err := faultinject.CkptEncode.FireErr(); err != nil {
 		return nil, fmt.Errorf("ckpt: encode: %w", err)
 	}
 	if snap == nil {
@@ -132,7 +123,7 @@ func Encode(snap *ehs.Snapshot) ([]byte, error) {
 // version, truncation, oversized length prefixes, trailing bytes — is an
 // error; no input panics.
 func Decode(data []byte) (*ehs.Snapshot, error) {
-	data = fpDecode.CorruptBytes(data)
+	data = faultinject.CkptDecode.CorruptBytes(data)
 	r := frame.NewReader("ckpt", data)
 	r.Header(Magic, Version, "checkpoint")
 	snap := &ehs.Snapshot{}

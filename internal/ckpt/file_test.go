@@ -66,7 +66,7 @@ func TestWriteFileAtomicFaultPreservesOldFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// fpWrite fires twice per call; the first call above consumed occurrences
+	// ckpt.write fires twice per call; the first call above consumed occurrences
 	// 1 and 2, so occurrence 4 is the post-write/pre-rename point of the next
 	// call... except Enable resets occurrence counters, so arm Nth=2 now.
 	armPlan(t, faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{
@@ -83,8 +83,8 @@ func TestWriteFileAtomicFaultPreservesOldFile(t *testing.T) {
 	if left := tempLeftovers(t, dir); len(left) != 0 {
 		t.Fatalf("failed write left temp files: %v", left)
 	}
-	if faultinject.Fires("ckpt.write") != 1 {
-		t.Fatalf("ckpt.write fired %d times, want 1", faultinject.Fires("ckpt.write"))
+	if faultinject.CkptWrite.Fires() != 1 {
+		t.Fatalf("ckpt.write fired %d times, want 1", faultinject.CkptWrite.Fires())
 	}
 }
 

@@ -10,16 +10,18 @@
 // occurrences, even though the *jobs* hitting each occurrence may differ
 // run-to-run under concurrency.
 //
-// Usage:
-//
-//	var fpCompute = faultinject.Point("simsvc.compute")   // package init
+// Points are typed values declared once, in registry.go:
 //
 //	func work(ctx context.Context) error {
-//		if err := fpCompute.Fire(ctx); err != nil {
-//			return err                                     // injected fault
+//		if err := faultinject.SimsvcCompute.Fire(ctx); err != nil {
+//			return err // injected fault
 //		}
 //		...
 //	}
+//
+// A call site cannot name a point the registry does not declare, and Enable
+// rejects a plan whose rule targets an unknown name, so a misspelled point
+// fails at startup instead of silently injecting nothing.
 //
 // When no plan is enabled, Fire is a single atomic load and a nil return:
 // cheap enough to leave in the hot path permanently (the warm-start sweep
@@ -140,8 +142,8 @@ type armedRule struct {
 	injected atomic.Int64
 }
 
-// PointID is one named injection point. Obtain with Point at package init;
-// the returned handle is process-global and safe for concurrent use.
+// PointID is one named injection point, declared in the registry. The
+// handle is process-global and safe for concurrent use.
 type PointID struct {
 	name string
 	// armed holds the rules currently targeting this point; nil when
@@ -153,37 +155,22 @@ type PointID struct {
 	fired atomic.Int64
 }
 
-// registry maps point names to their process-global handles.
+// regMu serializes Enable and Disable; enabled mirrors whether any rule is
+// armed.
 var (
-	regMu    sync.Mutex
-	registry = map[string]*PointID{}
-	enabled  atomic.Bool
+	regMu   sync.Mutex
+	enabled atomic.Bool
 )
 
-// Point returns the process-global injection point with the given name,
-// creating it on first use. Call it once per site, at package init.
-func Point(name string) *PointID {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if p, ok := registry[name]; ok {
-		return p
-	}
-	p := &PointID{name: name}
-	registry[name] = p
-	return p
-}
-
-// Points returns the names of all registered injection points, sorted — the
+// Points returns every declared injection point, sorted by name — the
 // catalog a chaos plan can target.
-func Points() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+func Points() []*PointID {
+	out := make([]*PointID, 0, len(points))
+	for _, p := range points {
+		out = append(out, p)
 	}
-	sort.Strings(names)
-	return names
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 // Enable validates the plan and arms its rules, replacing any previously
@@ -194,6 +181,9 @@ func Enable(p Plan) error {
 		if err := validateRule(r); err != nil {
 			return fmt.Errorf("faultinject: rule %d: %w", i, err)
 		}
+		if points[r.Point] == nil {
+			return fmt.Errorf("faultinject: rule %d: unknown point %q", i, r.Point)
+		}
 		armed[r.Point] = append(armed[r.Point], &armedRule{
 			rule: r,
 			salt: ruleSalt(p.Seed, r.Point, i),
@@ -201,12 +191,7 @@ func Enable(p Plan) error {
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	for name := range armed {
-		if _, ok := registry[name]; !ok {
-			registry[name] = &PointID{name: name}
-		}
-	}
-	for name, pt := range registry {
+	for name, pt := range points {
 		pt.n.Store(0)
 		pt.fired.Store(0)
 		if rules := armed[name]; len(rules) > 0 {
@@ -224,7 +209,7 @@ func Enable(p Plan) error {
 func Disable() {
 	regMu.Lock()
 	defer regMu.Unlock()
-	for _, pt := range registry {
+	for _, pt := range points {
 		pt.armed.Store(nil)
 		pt.n.Store(0)
 		pt.fired.Store(0)
@@ -235,17 +220,9 @@ func Disable() {
 // Enabled reports whether a plan with at least one rule is armed.
 func Enabled() bool { return enabled.Load() }
 
-// Fires returns how many faults have been injected at the named point since
-// the last Enable — the soak test's proof that chaos actually happened.
-func Fires(name string) int64 {
-	regMu.Lock()
-	pt := registry[name]
-	regMu.Unlock()
-	if pt == nil {
-		return 0
-	}
-	return pt.fired.Load()
-}
+// Fires returns how many faults have been injected at the point since the
+// last Enable — the soak test's proof that chaos actually happened.
+func (p *PointID) Fires() int64 { return p.fired.Load() }
 
 func validateRule(r Rule) error {
 	if r.Point == "" {

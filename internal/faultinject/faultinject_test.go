@@ -8,6 +8,26 @@ import (
 	"time"
 )
 
+// The test.* points this package's tests arm; declared like the registry's
+// own points, so Enable accepts them.
+var (
+	ptDisabled     = newPoint("test.disabled")
+	ptNth          = newPoint("test.nth")
+	ptEvery        = newPoint("test.every")
+	ptProb         = newPoint("test.prob")
+	ptPanic        = newPoint("test.panic")
+	ptLatency      = newPoint("test.latency")
+	ptLatencyShort = newPoint("test.latency.short")
+	ptCorrupt      = newPoint("test.corrupt")
+	ptCorrupt2     = newPoint("test.corrupt2")
+	ptFireErr      = newPoint("test.fireerr")
+	ptReplace      = newPoint("test.replace")
+	ptCatalogA     = newPoint("test.catalog.a")
+	ptCatalogB     = newPoint("test.catalog.b")
+	ptInterleave   = newPoint("test.interleave")
+	ptReplaceOther = newPoint("test.replace.other")
+)
+
 // arm enables a plan for the test and disarms it on cleanup, so tests cannot
 // leak chaos into each other.
 func arm(t *testing.T, p Plan) {
@@ -20,22 +40,20 @@ func arm(t *testing.T, p Plan) {
 
 func TestDisabledFireIsNil(t *testing.T) {
 	Disable()
-	pt := Point("test.disabled")
 	for i := 0; i < 100; i++ {
-		if err := pt.Fire(context.Background()); err != nil {
+		if err := ptDisabled.Fire(context.Background()); err != nil {
 			t.Fatalf("disabled point injected: %v", err)
 		}
 	}
-	if got := pt.CorruptBytes([]byte{1, 2, 3}); !bytes.Equal(got, []byte{1, 2, 3}) {
+	if got := ptDisabled.CorruptBytes([]byte{1, 2, 3}); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatal("disabled point corrupted bytes")
 	}
 }
 
 func TestNthTrigger(t *testing.T) {
-	pt := Point("test.nth")
 	arm(t, Plan{Seed: 1, Rules: []Rule{{Point: "test.nth", Kind: KindError, Nth: 3}}})
 	for i := 1; i <= 5; i++ {
-		err := pt.Fire(context.Background())
+		err := ptNth.Fire(context.Background())
 		if (i == 3) != (err != nil) {
 			t.Fatalf("occurrence %d: err = %v", i, err)
 		}
@@ -52,17 +70,16 @@ func TestNthTrigger(t *testing.T) {
 			}
 		}
 	}
-	if got := Fires("test.nth"); got != 1 {
+	if got := ptNth.Fires(); got != 1 {
 		t.Fatalf("Fires = %d, want 1", got)
 	}
 }
 
 func TestEveryAndLimit(t *testing.T) {
-	pt := Point("test.every")
 	arm(t, Plan{Seed: 1, Rules: []Rule{{Point: "test.every", Kind: KindError, Every: 2, Limit: 2}}})
 	var hits []int
 	for i := 1; i <= 10; i++ {
-		if pt.Fire(context.Background()) != nil {
+		if ptEvery.Fire(context.Background()) != nil {
 			hits = append(hits, i)
 		}
 	}
@@ -75,11 +92,10 @@ func TestEveryAndLimit(t *testing.T) {
 // schedule, and a different seed yields a different one.
 func TestProbabilityDeterministic(t *testing.T) {
 	schedule := func(seed uint64) []bool {
-		pt := Point("test.prob")
 		arm(t, Plan{Seed: seed, Rules: []Rule{{Point: "test.prob", Kind: KindError, Probability: 0.3}}})
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = pt.Fire(context.Background()) != nil
+			out[i] = ptProb.Fire(context.Background()) != nil
 		}
 		return out
 	}
@@ -112,7 +128,6 @@ func TestProbabilityDeterministic(t *testing.T) {
 }
 
 func TestPanicKind(t *testing.T) {
-	pt := Point("test.panic")
 	arm(t, Plan{Seed: 1, Rules: []Rule{{Point: "test.panic", Kind: KindPanic, Nth: 1, Message: "boom"}}})
 	defer func() {
 		r := recover()
@@ -124,16 +139,15 @@ func TestPanicKind(t *testing.T) {
 			t.Fatalf("panic value %+v", pv)
 		}
 	}()
-	pt.Fire(context.Background())
+	ptPanic.Fire(context.Background())
 	t.Fatal("armed panic rule did not panic")
 }
 
 func TestLatencyHonorsContext(t *testing.T) {
-	pt := Point("test.latency")
 	arm(t, Plan{Seed: 1, Rules: []Rule{{Point: "test.latency", Kind: KindLatency, Every: 1, LatencyMicros: int64(time.Hour / time.Microsecond)}}})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- pt.Fire(ctx) }()
+	go func() { done <- ptLatency.Fire(ctx) }()
 	cancel()
 	select {
 	case err := <-done:
@@ -146,10 +160,9 @@ func TestLatencyHonorsContext(t *testing.T) {
 }
 
 func TestLatencyElapses(t *testing.T) {
-	pt := Point("test.latency.short")
 	arm(t, Plan{Seed: 1, Rules: []Rule{{Point: "test.latency.short", Kind: KindLatency, Nth: 1, LatencyMicros: 1000}}})
 	start := time.Now()
-	if err := pt.Fire(context.Background()); err != nil {
+	if err := ptLatencyShort.Fire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) < time.Millisecond {
@@ -160,9 +173,8 @@ func TestLatencyElapses(t *testing.T) {
 func TestCorruptBytesDeterministic(t *testing.T) {
 	data := bytes.Repeat([]byte{0xAA}, 64)
 	corrupt := func(seed uint64) []byte {
-		pt := Point("test.corrupt")
 		arm(t, Plan{Seed: seed, Rules: []Rule{{Point: "test.corrupt", Kind: KindCorrupt, Nth: 1}}})
-		return pt.CorruptBytes(data)
+		return ptCorrupt.CorruptBytes(data)
 	}
 	a, b := corrupt(7), corrupt(7)
 	if !bytes.Equal(a, b) {
@@ -176,24 +188,22 @@ func TestCorruptBytesDeterministic(t *testing.T) {
 	}
 	// Fire at a corrupt-armed point is still a no-op (corruption only applies
 	// through CorruptBytes).
-	pt := Point("test.corrupt2")
 	arm(t, Plan{Seed: 7, Rules: []Rule{{Point: "test.corrupt2", Kind: KindCorrupt, Every: 1}}})
-	if err := pt.Fire(context.Background()); err != nil {
+	if err := ptCorrupt2.Fire(context.Background()); err != nil {
 		t.Fatalf("Fire at corrupt-only point returned %v", err)
 	}
 }
 
 func TestFireErrSkipsBlockingKinds(t *testing.T) {
-	pt := Point("test.fireerr")
 	arm(t, Plan{Seed: 1, Rules: []Rule{
 		{Point: "test.fireerr", Kind: KindPanic, Every: 1},
 		{Point: "test.fireerr", Kind: KindLatency, Every: 1, LatencyMicros: int64(time.Hour / time.Microsecond)},
 	}})
-	if err := pt.FireErr(); err != nil {
+	if err := ptFireErr.FireErr(); err != nil {
 		t.Fatalf("FireErr evaluated a non-error rule: %v", err)
 	}
 	arm(t, Plan{Seed: 1, Rules: []Rule{{Point: "test.fireerr", Kind: KindError, Every: 1}}})
-	if err := pt.FireErr(); err == nil {
+	if err := ptFireErr.FireErr(); err == nil {
 		t.Fatal("FireErr missed an armed error rule")
 	}
 }
@@ -222,18 +232,20 @@ func TestEnableValidation(t *testing.T) {
 }
 
 func TestEnableReplacesAndDisableClears(t *testing.T) {
-	pt := Point("test.replace")
 	arm(t, Plan{Seed: 1, Rules: []Rule{{Point: "test.replace", Kind: KindError, Every: 1}}})
 	if !Enabled() {
 		t.Fatal("Enabled() false after Enable")
 	}
-	if pt.Fire(context.Background()) == nil {
+	if ptReplace.Fire(context.Background()) == nil {
 		t.Fatal("armed rule did not fire")
 	}
 	// Re-enabling with a plan for a different point disarms this one.
 	arm(t, Plan{Seed: 1, Rules: []Rule{{Point: "test.replace.other", Kind: KindError, Every: 1}}})
-	if pt.Fire(context.Background()) != nil {
+	if ptReplace.Fire(context.Background()) != nil {
 		t.Fatal("stale rule survived Enable of a new plan")
+	}
+	if ptReplaceOther.Fire(context.Background()) == nil {
+		t.Fatal("the new plan's rule did not fire")
 	}
 	Disable()
 	if Enabled() {
@@ -242,20 +254,14 @@ func TestEnableReplacesAndDisableClears(t *testing.T) {
 }
 
 func TestPointsCatalog(t *testing.T) {
-	Point("test.catalog.a")
-	Point("test.catalog.b")
-	names := Points()
 	found := 0
-	for i, n := range names {
-		if i > 0 && names[i-1] > n {
-			t.Fatal("Points() not sorted")
-		}
-		if n == "test.catalog.a" || n == "test.catalog.b" {
+	for _, p := range Points() {
+		if p == ptCatalogA || p == ptCatalogB {
 			found++
 		}
 	}
 	if found != 2 {
-		t.Fatalf("catalog missing registered points: %v", names)
+		t.Fatalf("catalog missing declared points: %d of 2 found", found)
 	}
 }
 
@@ -263,7 +269,6 @@ func TestPointsCatalog(t *testing.T) {
 // occurrence numbers inject — the schedule is a pure function of (seed, k).
 func TestInterleavingIndependence(t *testing.T) {
 	run := func(parallel int) int64 {
-		pt := Point("test.interleave")
 		arm(t, Plan{Seed: 9, Rules: []Rule{{Point: "test.interleave", Kind: KindError, Probability: 0.25}}})
 		done := make(chan int64, parallel)
 		per := 400 / parallel
@@ -271,7 +276,7 @@ func TestInterleavingIndependence(t *testing.T) {
 			go func() {
 				var n int64
 				for i := 0; i < per; i++ {
-					if pt.Fire(context.Background()) != nil {
+					if ptInterleave.Fire(context.Background()) != nil {
 						n++
 					}
 				}

@@ -8,13 +8,6 @@ import (
 	"kagura/internal/faultinject"
 )
 
-// fpWrite fires twice inside WriteFileAtomic — once before the temp file is
-// written (occurrence 2k+1) and once after the bytes are down but before the
-// rename (occurrence 2k+2) — so a chaos plan can kill the write at either
-// side of the commit point and assert the destination file is never left
-// truncated. Chaos plans arm it as "ckpt.write".
-var fpWrite = faultinject.Point("ckpt.write")
-
 // WriteFileAtomic writes data to path so readers never observe a partial
 // file: the bytes land in a temp file in the same directory, are fsynced,
 // and the temp file is renamed over path — rename within a directory is
@@ -25,7 +18,7 @@ var fpWrite = faultinject.Point("ckpt.write")
 // os.WriteFile offers none of this: it truncates the destination first, so
 // an interruption mid-write destroys the previous file too.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	if err := fpWrite.FireErr(); err != nil {
+	if err := faultinject.CkptWrite.FireErr(); err != nil {
 		return fmt.Errorf("frame: write %s: %w", path, err)
 	}
 	dir := filepath.Dir(path)
@@ -45,7 +38,7 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	if _, err := f.Write(data); err != nil {
 		return fail(err)
 	}
-	if err := fpWrite.FireErr(); err != nil {
+	if err := faultinject.CkptWrite.FireErr(); err != nil {
 		return fail(fmt.Errorf("frame: write %s: %w", path, err))
 	}
 	if err := f.Sync(); err != nil {

@@ -35,13 +35,6 @@ import (
 	"kagura/internal/frame"
 )
 
-// Fault points. "journal.replay" is declared by simsvc, which owns the
-// replay loop; the journal itself owns the write path.
-var (
-	fpAppend = faultinject.Point("journal.append")
-	fpRotate = faultinject.Point("journal.rotate")
-)
-
 // segmentName is the single live segment file inside the journal directory.
 const segmentName = "journal.kjl"
 
@@ -213,14 +206,14 @@ func (j *Journal) Append(rec Record) error {
 		j.mu.Unlock()
 		return err
 	}
-	blob = fpAppend.CorruptBytes(blob)
+	blob = faultinject.JournalAppend.CorruptBytes(blob)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	if err := fpAppend.FireErr(); err != nil {
+	if err := faultinject.JournalAppend.FireErr(); err != nil {
 		j.met.appendErrors++
 		return err
 	}
@@ -256,7 +249,7 @@ func (j *Journal) rotateLocked() {
 			j.rotateAbove = 0
 		}
 	}()
-	if err := fpRotate.FireErr(); err != nil {
+	if err := faultinject.JournalRotate.FireErr(); err != nil {
 		return
 	}
 	recs := j.st.records()

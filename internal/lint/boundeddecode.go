@@ -20,12 +20,10 @@ import (
 //     spellings U8…I64 on the shared frame.Reader, or encoding/binary's
 //     Uint16/Uint32/Uint64), directly or through conversions and arithmetic;
 //   - taint clears when the length flows through a bounding reader helper —
-//     a method named count/count16 (Count/Count16 on frame.Reader), or any
-//     function whose doc comment carries the marker "kagura:boundedlen"
-//     (exported as a cross-package fact, so a helper declared in ckpt also
-//     sanctions store) — or when the variable is compared against anything
-//     but the constant zero before the allocation (v < max, v == want, or
-//     the guard form v > max { return });
+//     a method named count/count16 (Count/Count16 on frame.Reader) — or when
+//     the variable is compared against anything but the constant zero before
+//     the allocation (v < max, v == want, or the guard form v > max
+//     { return });
 //   - make([]T, n) or make([]T, len, n) with a tainted size is a finding.
 //
 // A lower-bound check alone (n > 0) does not clear taint: it rejects
@@ -35,14 +33,6 @@ var BoundedDecode = &Analyzer{
 	Doc:  "forbid make() sized by an unbounded wire-read length in decode paths",
 	Run:  runBoundedDecode,
 }
-
-// boundedLenMarker in a function's doc comment marks it as a sanctioned
-// length-bounding helper; the fact is exported for downstream packages.
-const boundedLenMarker = "kagura:boundedlen"
-
-// factBoundedHelper is the fact kind naming sanctioned bounding helpers by
-// their qualified name (types.Func.FullName).
-const factBoundedHelper = "boundeddecode.helper"
 
 // wireReadFuncs are the method names that read raw fixed-width integers off
 // a wire buffer in this codebase's reader idiom.
@@ -66,19 +56,6 @@ func readerMethodName(fn *types.Func) string {
 }
 
 func runBoundedDecode(pass *Pass) error {
-	// Export marker-doc helpers first, so calls later in this package (and
-	// in downstream packages) resolve against the facts.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil || !strings.Contains(fd.Doc.Text(), boundedLenMarker) {
-				continue
-			}
-			if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-				pass.ExportFact(factBoundedHelper, fn.FullName(), fd.Pos())
-			}
-		}
-	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -178,7 +155,7 @@ func exprWireTainted(pass *Pass, tainted map[types.Object]bool, e ast.Expr) bool
 			return false
 		}
 		name := readerMethodName(fn)
-		if boundingFuncs[name] || len(pass.LookupFact(factBoundedHelper, fn.FullName())) > 0 {
+		if boundingFuncs[name] {
 			return false
 		}
 		if wireReadFuncs[name] && fn.Type().(*types.Signature).Recv() != nil {

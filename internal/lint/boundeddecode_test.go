@@ -9,7 +9,7 @@ import (
 
 // TestBoundedDecode runs the fixture: make() sized by raw wire reads is
 // flagged (including the lower-bound-only guard); counts bounded by the
-// reader helper, a marker-approved helper, or a real comparison pass.
+// reader helper or a real comparison pass.
 func TestBoundedDecode(t *testing.T) {
 	linttest.Run(t, lint.BoundedDecode, "testdata/src/boundeddecode", "kagura/internal/decodefixture")
 }

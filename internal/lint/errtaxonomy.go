@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -134,7 +135,7 @@ func checkWrapDirectives(pass *Pass) {
 			if len(call.Args) < 2 {
 				return true
 			}
-			format, _, ok := stringLiteral(call.Args[0])
+			format, ok := stringLiteral(call.Args[0])
 			if !ok || strings.Contains(format, "%w") {
 				return true
 			}
@@ -149,4 +150,14 @@ func checkWrapDirectives(pass *Pass) {
 			return true
 		})
 	}
+}
+
+// stringLiteral unquotes e if it is a plain string literal.
+func stringLiteral(e ast.Expr) (string, bool) {
+	lit, ok := ast.Unparen(e).(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }

@@ -14,25 +14,19 @@
 //
 //   - Persistence and service contracts: durable state is written atomically
 //     (atomicwrite), wire-read lengths are bounded before allocation
-//     (boundeddecode), fault-injection point names come from the central
-//     registry (faultpoint), boundary errors are classifiable (errtaxonomy),
-//     and metric names come from the exposition catalog (metricstable).
+//     (boundeddecode), boundary errors are classifiable (errtaxonomy), and
+//     size probes never build an encoding only to discard it (discardenc).
+//
+// Contracts a type can state live in types instead: fault-injection points
+// are typed values of internal/faultinject's registry and metric families
+// typed values of internal/obs's catalog, so a misspelled name does not
+// compile. Every analyzer here checks one package at a time; none needs
+// facts about another package.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis (Analyzer
-// / Pass / Diagnostic, plus cross-package facts) but is built on the standard
-// library alone, because this module carries no third-party dependencies.
-// cmd/kagura-vet is the multichecker driver; linttest is the
-// analysistest-style fixture runner.
-//
-// # Facts
-//
-// An analyzer may export facts about a package's declarations ("this string
-// is a registered fault-point name") via Pass.ExportFact; when a downstream
-// package is analyzed later — the Suite runs packages in dependency order —
-// the same analyzer imports them via Pass.LookupFact. Analyzers with a
-// Finish hook additionally get one whole-module pass over the accumulated
-// facts, which is where orphan checks live (a registered name no package
-// declares). See facts.go.
+// / Pass / Diagnostic) but is built on the standard library alone, because
+// this module carries no third-party dependencies. cmd/kagura-vet is the
+// multichecker driver; linttest is the analysistest-style fixture runner.
 //
 // # Suppression
 //
@@ -65,20 +59,13 @@ type Analyzer struct {
 	Doc string
 	// Run performs the analysis, reporting findings through pass.Reportf.
 	Run func(*Pass) error
-	// Finish, when set, runs once after every package has been analyzed and
-	// reports whole-module findings from the accumulated facts (orphans:
-	// facts exported by a registry that no package consumed). Only the
-	// standalone driver runs finishers, and only when the analyzed set
-	// covers the whole module — go vet mode has no end-of-run hook.
-	Finish func(*FinishPass)
 }
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism, LockedBlock, MapIterOrder, FloatEq,
-		AtomicWrite, BoundedDecode, ErrTaxonomy, FaultPoint, MetricsTable,
-		DiscardEnc,
+		AtomicWrite, BoundedDecode, ErrTaxonomy, DiscardEnc,
 	}
 }
 
@@ -206,30 +193,18 @@ type Pass struct {
 	Files []*ast.File // non-test files only; test files are exempt by design
 	Pkg   *types.Package
 	Info  *types.Info
-	// Facts is the run-wide fact store: facts of already-analyzed
-	// dependencies are visible, and ExportFact adds this package's.
-	Facts *FactStore
 
 	analyzer *Analyzer
 	allow    *allowIndex
 	diags    *[]Diagnostic
 }
 
-// NewPass assembles a Pass for one analyzer over a loaded package, appending
-// findings to diags, with a private allow index and fact store. Suite runs
-// share both across analyzers instead; this constructor serves one-off
-// single-analyzer runs.
-func NewPass(a *Analyzer, pkg *Package, diags *[]Diagnostic) *Pass {
-	return newPass(a, pkg, diags, newAllowIndex(pkg), NewFactStore())
-}
-
-func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, allow *allowIndex, facts *FactStore) *Pass {
+func newPass(a *Analyzer, pkg *Package, diags *[]Diagnostic, allow *allowIndex) *Pass {
 	return &Pass{
 		Fset:     pkg.Fset,
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
-		Facts:    facts,
 		analyzer: a,
 		allow:    allow,
 		diags:    diags,
@@ -249,28 +224,6 @@ func (p *Pass) Reportf(pos token.Pos, check, format string, args ...any) {
 		Check:    check,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ExportFact records a cross-package fact about this package, visible to
-// passes over downstream packages and to Finish hooks.
-func (p *Pass) ExportFact(kind, value string, pos token.Pos) {
-	p.Facts.Add(Fact{
-		Pkg:   p.Pkg.Path(),
-		Kind:  kind,
-		Value: value,
-		Pos:   p.Fset.Position(pos),
-	})
-}
-
-// LookupFact returns the facts matching (kind, value) exported so far — by
-// this package's dependencies, and by earlier declarations in this package.
-func (p *Pass) LookupFact(kind, value string) []Fact {
-	return p.Facts.Lookup(kind, value)
-}
-
-// FactsOf returns every fact of the given kind exported so far.
-func (p *Pass) FactsOf(kind string) []Fact {
-	return p.Facts.OfKind(kind)
 }
 
 // TypeOf returns the type of expr, or nil when untypechecked.
@@ -293,36 +246,10 @@ func (p *Pass) FuncOf(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// A FinishPass is the whole-module view an analyzer's Finish hook reports
-// from: facts only, no AST — positions come from the facts themselves.
-// Finish findings are not //kagura:allow-suppressible: they indicate a stale
-// registry entry, and the fix is editing the registry, not annotating it.
-type FinishPass struct {
-	// Facts holds every fact exported across the analyzed packages.
-	Facts *FactStore
-
-	analyzer *Analyzer
-	diags    *[]Diagnostic
-}
-
-// Reportf records a whole-module finding at the given position.
-func (p *FinishPass) Reportf(pos token.Position, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: p.analyzer.Name,
-		Check:    p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// A Suite runs a set of analyzers over packages with shared state: one fact
-// store (so cross-package facts flow in dependency order) and one allow
-// index per package (so unused-suppression tracking spans all analyzers).
+// A Suite runs a set of analyzers over packages, sharing one allow index per
+// package so unused-suppression tracking spans all analyzers.
 type Suite struct {
 	Analyzers []*Analyzer
-	// Facts accumulates cross-package facts; pre-populate via
-	// Facts.AddAll to import serialized facts (vet mode).
-	Facts *FactStore
 	// ReportUnusedAllow adds unusedallow diagnostics for annotations that
 	// suppressed nothing across the whole suite and annotations without a
 	// reason. Enable only when running every analyzer — a partial suite
@@ -330,18 +257,17 @@ type Suite struct {
 	ReportUnusedAllow bool
 }
 
-// NewSuite returns a Suite over the given analyzers with an empty fact store.
+// NewSuite returns a Suite over the given analyzers.
 func NewSuite(analyzers []*Analyzer) *Suite {
-	return &Suite{Analyzers: analyzers, Facts: NewFactStore()}
+	return &Suite{Analyzers: analyzers}
 }
 
 // RunPackage applies every analyzer to pkg and returns the new findings.
-// Packages must be fed in dependency order (TopoSort) for facts to resolve.
 func (s *Suite) RunPackage(pkg *Package) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	allow := newAllowIndex(pkg)
 	for _, a := range s.Analyzers {
-		if err := a.Run(newPass(a, pkg, &diags, allow, s.Facts)); err != nil {
+		if err := a.Run(newPass(a, pkg, &diags, allow)); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 	}
@@ -352,23 +278,7 @@ func (s *Suite) RunPackage(pkg *Package) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// Finish runs every analyzer's Finish hook over the accumulated facts. Call
-// once, after every package in the module has been through RunPackage.
-func (s *Suite) Finish() []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range s.Analyzers {
-		if a.Finish != nil {
-			a.Finish(&FinishPass{Facts: s.Facts, analyzer: a, diags: &diags})
-		}
-	}
-	SortDiagnostics(diags)
-	return diags
-}
-
-// RunAnalyzers applies every analyzer to pkg with a fresh fact store and
-// returns the new findings — the single-package entry point used by vet mode
-// and simple tests. Cross-package facts resolve only if the analyzers
-// export them while running on this same package.
+// RunAnalyzers applies every analyzer to pkg and returns the new findings.
 func RunAnalyzers(analyzers []*Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return NewSuite(analyzers).RunPackage(pkg)
 }

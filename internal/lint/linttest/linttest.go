@@ -32,12 +32,6 @@ type want struct {
 // Run checks one analyzer against the fixture package in dir, typechecked
 // under the given import path (the path matters: simdeterminism keys its
 // applicability on it).
-//
-// Cross-package facts work the way they do in the real suite: the analyzer
-// first runs — diagnostics discarded — over every module-local package the
-// fixture pulled in as a dependency, in dependency order, so a fixture that
-// imports kagura/internal/faultinject sees the registry's facts exactly as a
-// real downstream package would.
 func Run(t *testing.T, a *lint.Analyzer, dir, importPath string) {
 	t.Helper()
 	loader, err := lint.NewLoader(".")
@@ -49,16 +43,7 @@ func Run(t *testing.T, a *lint.Analyzer, dir, importPath string) {
 		t.Fatalf("linttest: loading fixture %s: %v", dir, err)
 	}
 	wants := collectWants(t, pkg)
-	suite := lint.NewSuite([]*lint.Analyzer{a})
-	for _, dep := range lint.TopoSort(loader.Loaded()) {
-		if dep.Path == importPath {
-			continue
-		}
-		if _, err := suite.RunPackage(dep); err != nil {
-			t.Fatalf("linttest: analyzing dependency %s: %v", dep.Path, err)
-		}
-	}
-	diags, err := suite.RunPackage(pkg)
+	diags, err := lint.RunAnalyzers([]*lint.Analyzer{a}, pkg)
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}

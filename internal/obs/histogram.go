@@ -65,12 +65,13 @@ type HistogramSnapshot struct {
 	Sum float64 `json:"sum"`
 }
 
-// WritePrometheus renders the snapshot as a Prometheus histogram family:
+// WritePrometheus renders the snapshot as samples of histogram family f:
 // cumulative <name>_bucket lines with le labels, then <name>_sum and
 // <name>_count. labels is either empty or a rendered label list such as
 // `phase="queue"` that is merged before the le label. The caller emits the
-// HELP/TYPE header (once per family, even when several label sets share it).
-func (s HistogramSnapshot) WritePrometheus(b *strings.Builder, name, labels string) {
+// family's header (once, even when several label sets share it).
+func (s HistogramSnapshot) WritePrometheus(b *strings.Builder, f *Family, labels string) {
+	name := f.name
 	sep := ""
 	if labels != "" {
 		sep = ","

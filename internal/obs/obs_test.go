@@ -103,12 +103,13 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramPrometheusRender(t *testing.T) {
+	xSeconds := &Family{name: "x_seconds", typ: "histogram"}
 	h := NewHistogram(1, 5)
 	h.Observe(0.5)
 	h.Observe(3)
 	h.Observe(50)
 	var b strings.Builder
-	h.Snapshot().WritePrometheus(&b, "x_seconds", `phase="run"`)
+	h.Snapshot().WritePrometheus(&b, xSeconds, `phase="run"`)
 	want := `x_seconds_bucket{phase="run",le="1"} 1
 x_seconds_bucket{phase="run",le="5"} 2
 x_seconds_bucket{phase="run",le="+Inf"} 3
@@ -121,7 +122,7 @@ x_seconds_count{phase="run"} 3
 
 	// Byte stability: rendering the same snapshot twice is identical.
 	var b2 strings.Builder
-	h.Snapshot().WritePrometheus(&b2, "x_seconds", `phase="run"`)
+	h.Snapshot().WritePrometheus(&b2, xSeconds, `phase="run"`)
 	if b.String() != b2.String() {
 		t.Fatal("histogram rendering is not byte-stable")
 	}

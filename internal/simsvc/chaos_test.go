@@ -157,7 +157,7 @@ func TestChaosSoak(t *testing.T) {
 				forked = append(forked, jobs...)
 				return err
 			})
-			if fires := faultinject.Fires("simsvc.coalesce"); rejected != fires {
+			if fires := faultinject.SimsvcCoalesce.Fires(); rejected != fires {
 				t.Fatalf("%d submissions rejected by the coalesce fault, which fired %d times", rejected, fires)
 			}
 
@@ -275,7 +275,7 @@ func TestChaosSoakDeterministicFires(t *testing.T) {
 		}
 		fires := make(map[string]int64)
 		for _, p := range faultinject.Points() {
-			fires[p] = faultinject.Fires(p)
+			fires[p.Name()] = p.Fires()
 		}
 		return fires
 	}
@@ -305,7 +305,7 @@ func TestServiceCloseUnderChaos(t *testing.T) {
 		jobs = append(jobs, job)
 		rejected += n
 	}
-	if fires := faultinject.Fires("simsvc.coalesce"); rejected != fires {
+	if fires := faultinject.SimsvcCoalesce.Fires(); rejected != fires {
 		t.Fatalf("%d submissions rejected by the coalesce fault, which fired %d times", rejected, fires)
 	}
 	done := make(chan struct{})

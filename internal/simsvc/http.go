@@ -9,6 +9,7 @@ import (
 
 	"kagura/internal/compress"
 	"kagura/internal/ehs"
+	"kagura/internal/faultinject"
 	"kagura/internal/powertrace"
 	"kagura/internal/workload"
 )
@@ -190,7 +191,7 @@ func writeServiceError(w http.ResponseWriter, svc *Service, err error) {
 func decodeJSON(w http.ResponseWriter, r *http.Request, svc *Service, v any) bool {
 	// Chaos point for slow or aborted request bodies; an injected latency
 	// honors the request context like a real stalled client.
-	if err := fpHTTPBody.Fire(r.Context()); err != nil {
+	if err := faultinject.SimsvcHTTPBody.Fire(r.Context()); err != nil {
 		svc.noteError(Classify(err))
 		writeError(w, http.StatusBadRequest, Classify(err), err)
 		return false
@@ -211,7 +212,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	// body, then abort the handler the way net/http sanctions — the server
 	// closes the connection without a trailer, and the panic never reaches the
 	// jobs table or scheduler state, which were updated before rendering.
-	if fpHTTPResponse.FireErr() != nil {
+	if faultinject.SimsvcHTTPResponse.FireErr() != nil {
 		w.Write([]byte("{"))
 		panic(http.ErrAbortHandler)
 	}

@@ -29,11 +29,6 @@ import (
 	"kagura/internal/journal"
 )
 
-// fpJournalReplay gates each job re-submission during startup replay; an
-// injected error skips that record (it stays pending for the next restart),
-// latency widens the replay window for chaos drills against /readyz.
-var fpJournalReplay = faultinject.Point("journal.replay")
-
 // submitRecord builds the intent record for a spec submission, or nil when
 // journaling is off. Marshal failures disable journaling for this job only —
 // the submission itself must not fail over a bookkeeping error.
@@ -156,7 +151,7 @@ func (s *Service) replayJournal() int {
 		if s.baseCtx.Err() != nil {
 			return replayed
 		}
-		if err := fpJournalReplay.Fire(s.baseCtx); err != nil {
+		if err := faultinject.JournalReplay.Fire(s.baseCtx); err != nil {
 			continue
 		}
 		rec := st.Pending[k]

@@ -245,158 +245,83 @@ func (s *Service) Metrics() MetricsSnapshot {
 // (GET /metrics).
 func (m MetricsSnapshot) Prometheus() string {
 	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
-	w("# HELP kagura_jobs_total Jobs by terminal outcome.\n")
-	w("# TYPE kagura_jobs_total counter\n")
-	w("kagura_jobs_total{status=\"run\"} %d\n", m.JobsRun)
-	w("kagura_jobs_total{status=\"cached\"} %d\n", m.JobsCached)
-	w("kagura_jobs_total{status=\"failed\"} %d\n", m.JobsFailed)
-	w("kagura_jobs_total{status=\"canceled\"} %d\n", m.JobsCanceled)
-	w("# HELP kagura_queue_depth Jobs waiting for a worker.\n")
-	w("# TYPE kagura_queue_depth gauge\n")
-	w("kagura_queue_depth %d\n", m.QueueDepth)
-	w("# HELP kagura_workers Size of the worker pool.\n")
-	w("# TYPE kagura_workers gauge\n")
-	w("kagura_workers %d\n", m.Workers)
-	w("# HELP kagura_cached_keys Distinct memoized configurations.\n")
-	w("# TYPE kagura_cached_keys gauge\n")
-	w("kagura_cached_keys %d\n", m.CachedKeys)
-	w("# HELP kagura_stage_seconds_total Cumulative per-stage latency.\n")
-	w("# TYPE kagura_stage_seconds_total counter\n")
-	w("kagura_stage_seconds_total{stage=\"queue\"} %g\n", m.QueueSecondsTotal)
-	w("kagura_stage_seconds_total{stage=\"run\"} %g\n", m.RunSecondsTotal)
-	w("# HELP kagura_stage_samples_total Per-stage latency sample counts.\n")
-	w("# TYPE kagura_stage_samples_total counter\n")
-	w("kagura_stage_samples_total{stage=\"queue\"} %d\n", m.QueueSamples)
-	w("kagura_stage_samples_total{stage=\"run\"} %d\n", m.RunSamples)
-	w("# HELP kagura_warm_start_total Warm-start snapshot cache outcomes.\n")
-	w("# TYPE kagura_warm_start_total counter\n")
-	w("kagura_warm_start_total{result=\"hit\"} %d\n", m.WarmStartHits)
-	w("kagura_warm_start_total{result=\"miss\"} %d\n", m.WarmStartMisses)
-	w("# HELP kagura_warm_snapshots Cached warm-start snapshots.\n")
-	w("# TYPE kagura_warm_snapshots gauge\n")
-	w("kagura_warm_snapshots %d\n", m.WarmSnapshots)
-	w("# HELP kagura_warm_cycles_saved_total Simulated cycles skipped by warm-start reuse.\n")
-	w("# TYPE kagura_warm_cycles_saved_total counter\n")
-	w("kagura_warm_cycles_saved_total %d\n", m.WarmCyclesSaved)
-	w("# HELP kagura_panics_recovered_total Compute panics recovered by workers.\n")
-	w("# TYPE kagura_panics_recovered_total counter\n")
-	w("kagura_panics_recovered_total %d\n", m.PanicsRecovered)
-	w("# HELP kagura_jobs_retried_total Retry attempts after transient failures.\n")
-	w("# TYPE kagura_jobs_retried_total counter\n")
-	w("kagura_jobs_retried_total %d\n", m.JobsRetried)
-	w("# HELP kagura_jobs_shed_total Submissions rejected by the load-shedding breaker.\n")
-	w("# TYPE kagura_jobs_shed_total counter\n")
-	w("kagura_jobs_shed_total %d\n", m.JobsShed)
-	w("# HELP kagura_degraded_runs Warm starts degraded to cold runs.\n")
-	w("# TYPE kagura_degraded_runs counter\n")
-	w("kagura_degraded_runs %d\n", m.DegradedRuns)
-	w("# HELP kagura_shedding Load-shedding breaker state (1 = open).\n")
-	w("# TYPE kagura_shedding gauge\n")
-	shedding := 0
-	if m.Shedding {
-		shedding = 1
-	}
-	w("kagura_shedding %d\n", shedding)
-	w("# HELP kagura_errors_total Errors by taxonomy code.\n")
-	w("# TYPE kagura_errors_total counter\n")
+	obs.MetricJobsTotal.Header(&b)
+	obs.MetricJobsTotal.Sample(&b, `status="run"`, m.JobsRun)
+	obs.MetricJobsTotal.Sample(&b, `status="cached"`, m.JobsCached)
+	obs.MetricJobsTotal.Sample(&b, `status="failed"`, m.JobsFailed)
+	obs.MetricJobsTotal.Sample(&b, `status="canceled"`, m.JobsCanceled)
+	obs.MetricQueueDepth.Single(&b, m.QueueDepth)
+	obs.MetricWorkers.Single(&b, m.Workers)
+	obs.MetricCachedKeys.Single(&b, m.CachedKeys)
+	obs.MetricStageSecondsTotal.Header(&b)
+	obs.MetricStageSecondsTotal.Sample(&b, `stage="queue"`, m.QueueSecondsTotal)
+	obs.MetricStageSecondsTotal.Sample(&b, `stage="run"`, m.RunSecondsTotal)
+	obs.MetricStageSamplesTotal.Header(&b)
+	obs.MetricStageSamplesTotal.Sample(&b, `stage="queue"`, m.QueueSamples)
+	obs.MetricStageSamplesTotal.Sample(&b, `stage="run"`, m.RunSamples)
+	obs.MetricWarmStartTotal.Header(&b)
+	obs.MetricWarmStartTotal.Sample(&b, `result="hit"`, m.WarmStartHits)
+	obs.MetricWarmStartTotal.Sample(&b, `result="miss"`, m.WarmStartMisses)
+	obs.MetricWarmSnapshots.Single(&b, m.WarmSnapshots)
+	obs.MetricWarmCyclesSavedTotal.Single(&b, m.WarmCyclesSaved)
+	obs.MetricPanicsRecoveredTotal.Single(&b, m.PanicsRecovered)
+	obs.MetricJobsRetriedTotal.Single(&b, m.JobsRetried)
+	obs.MetricJobsShedTotal.Single(&b, m.JobsShed)
+	obs.MetricDegradedRuns.Single(&b, m.DegradedRuns)
+	obs.MetricShedding.Single(&b, oneIf(m.Shedding))
+	obs.MetricErrorsTotal.Header(&b)
 	// Every code renders every time, in catalog order — never by ranging the
 	// map — so the exposition stays byte-stable.
 	for _, code := range errorCodes {
-		w("kagura_errors_total{code=%q} %d\n", string(code), m.Errors[string(code)])
+		obs.MetricErrorsTotal.Sample(&b, fmt.Sprintf(`code=%q`, string(code)), m.Errors[string(code)])
 	}
-	w("# HELP kagura_cache_bytes Estimated bytes retained by the result cache.\n")
-	w("# TYPE kagura_cache_bytes gauge\n")
-	w("kagura_cache_bytes %d\n", m.CacheBytes)
-	w("# HELP kagura_cache_capacity Result cache entry bound (0 = unbounded).\n")
-	w("# TYPE kagura_cache_capacity gauge\n")
-	w("kagura_cache_capacity %d\n", m.CacheCapacity)
-	w("# HELP kagura_cache_evictions_total Results evicted from the bounded cache.\n")
-	w("# TYPE kagura_cache_evictions_total counter\n")
-	w("kagura_cache_evictions_total %d\n", m.CacheEvictions)
+	obs.MetricCacheBytes.Single(&b, m.CacheBytes)
+	obs.MetricCacheCapacity.Single(&b, m.CacheCapacity)
+	obs.MetricCacheEvictionsTotal.Single(&b, m.CacheEvictions)
 	// Persistent store tier. The families render unconditionally — zeros when
 	// the tier is disabled — so the exposition stays byte-stable across
 	// configurations with the same traffic.
-	w("# HELP kagura_store_enabled Persistent store tier configured and open (1 = yes).\n")
-	w("# TYPE kagura_store_enabled gauge\n")
-	enabled := 0
-	if m.StoreEnabled {
-		enabled = 1
-	}
-	w("kagura_store_enabled %d\n", enabled)
-	w("# HELP kagura_store_hits_total Persistent-store reads served, by entry kind.\n")
-	w("# TYPE kagura_store_hits_total counter\n")
-	w("kagura_store_hits_total{kind=\"result\"} %d\n", m.Store.ResultHits)
-	w("kagura_store_hits_total{kind=\"checkpoint\"} %d\n", m.Store.CheckpointHits)
-	w("# HELP kagura_store_misses_total Persistent-store reads that fell through to compute, by entry kind.\n")
-	w("# TYPE kagura_store_misses_total counter\n")
-	w("kagura_store_misses_total{kind=\"result\"} %d\n", m.Store.ResultMisses)
-	w("kagura_store_misses_total{kind=\"checkpoint\"} %d\n", m.Store.CheckpointMisses)
-	w("# HELP kagura_store_entries Entries indexed on disk.\n")
-	w("# TYPE kagura_store_entries gauge\n")
-	w("kagura_store_entries %d\n", m.Store.Entries)
-	w("# HELP kagura_store_bytes Bytes retained on disk by indexed entries.\n")
-	w("# TYPE kagura_store_bytes gauge\n")
-	w("kagura_store_bytes %d\n", m.Store.Bytes)
-	w("# HELP kagura_store_writes_total Entries written to the persistent store.\n")
-	w("# TYPE kagura_store_writes_total counter\n")
-	w("kagura_store_writes_total %d\n", m.Store.Writes)
-	w("# HELP kagura_store_write_errors_total Persistent-store writes that failed.\n")
-	w("# TYPE kagura_store_write_errors_total counter\n")
-	w("kagura_store_write_errors_total %d\n", m.Store.WriteErrors)
-	w("# HELP kagura_store_evictions_total Entries evicted under the disk budget.\n")
-	w("# TYPE kagura_store_evictions_total counter\n")
-	w("kagura_store_evictions_total %d\n", m.Store.Evictions)
-	w("# HELP kagura_store_corrupt_entries_total Corrupt or torn entries quarantined by the persistent store.\n")
-	w("# TYPE kagura_store_corrupt_entries_total counter\n")
-	w("kagura_store_corrupt_entries_total %d\n", m.Store.CorruptEntries)
-	w("# HELP kagura_store_publish_drops_total Asynchronous store writes dropped because the publish queue was full.\n")
-	w("# TYPE kagura_store_publish_drops_total counter\n")
-	w("kagura_store_publish_drops_total %d\n", m.StorePublishDrops)
+	obs.MetricStoreEnabled.Single(&b, oneIf(m.StoreEnabled))
+	obs.MetricStoreHitsTotal.Header(&b)
+	obs.MetricStoreHitsTotal.Sample(&b, `kind="result"`, m.Store.ResultHits)
+	obs.MetricStoreHitsTotal.Sample(&b, `kind="checkpoint"`, m.Store.CheckpointHits)
+	obs.MetricStoreMissesTotal.Header(&b)
+	obs.MetricStoreMissesTotal.Sample(&b, `kind="result"`, m.Store.ResultMisses)
+	obs.MetricStoreMissesTotal.Sample(&b, `kind="checkpoint"`, m.Store.CheckpointMisses)
+	obs.MetricStoreEntries.Single(&b, m.Store.Entries)
+	obs.MetricStoreBytes.Single(&b, m.Store.Bytes)
+	obs.MetricStoreWritesTotal.Single(&b, m.Store.Writes)
+	obs.MetricStoreWriteErrorsTotal.Single(&b, m.Store.WriteErrors)
+	obs.MetricStoreEvictionsTotal.Single(&b, m.Store.Evictions)
+	obs.MetricStoreCorruptTotal.Single(&b, m.Store.CorruptEntries)
+	obs.MetricStorePublishDropsTotal.Single(&b, m.StorePublishDrops)
 	// Intent journal. Like the store families: unconditional, zeros when off.
-	w("# HELP kagura_journal_enabled Intent journal configured and open (1 = yes).\n")
-	w("# TYPE kagura_journal_enabled gauge\n")
-	jEnabled := 0
-	if m.JournalEnabled {
-		jEnabled = 1
-	}
-	w("kagura_journal_enabled %d\n", jEnabled)
-	w("# HELP kagura_journal_appends_total Records appended to the intent journal.\n")
-	w("# TYPE kagura_journal_appends_total counter\n")
-	w("kagura_journal_appends_total %d\n", m.Journal.Appends)
-	w("# HELP kagura_journal_append_errors_total Journal appends refused or failed.\n")
-	w("# TYPE kagura_journal_append_errors_total counter\n")
-	w("kagura_journal_append_errors_total %d\n", m.Journal.AppendErrors)
-	w("# HELP kagura_journal_rotations_total Journal segment compactions.\n")
-	w("# TYPE kagura_journal_rotations_total counter\n")
-	w("kagura_journal_rotations_total %d\n", m.Journal.Rotations)
-	w("# HELP kagura_journal_corrupt_segments_total Journal segments quarantined as unreadable.\n")
-	w("# TYPE kagura_journal_corrupt_segments_total counter\n")
-	w("kagura_journal_corrupt_segments_total %d\n", m.Journal.CorruptSegments)
-	w("# HELP kagura_journal_bytes Live journal segment size on disk.\n")
-	w("# TYPE kagura_journal_bytes gauge\n")
-	w("kagura_journal_bytes %d\n", m.Journal.SizeBytes)
-	w("# HELP kagura_journal_pending_jobs Unsettled job intents in the journal fold.\n")
-	w("# TYPE kagura_journal_pending_jobs gauge\n")
-	w("kagura_journal_pending_jobs %d\n", m.Journal.PendingJobs)
-	w("# HELP kagura_journal_replayed_jobs_total Jobs re-submitted from the journal at startup.\n")
-	w("# TYPE kagura_journal_replayed_jobs_total counter\n")
-	w("kagura_journal_replayed_jobs_total %d\n", m.JournalReplayedJobs)
-	w("# HELP kagura_job_phase_seconds Job latency by phase.\n")
-	w("# TYPE kagura_job_phase_seconds histogram\n")
-	m.QueueSeconds.WritePrometheus(&b, "kagura_job_phase_seconds", `phase="queue"`)
-	m.RunSeconds.WritePrometheus(&b, "kagura_job_phase_seconds", `phase="run"`)
-	w("# HELP kagura_queue_depth_observed Queue depth sampled at each enqueue.\n")
-	w("# TYPE kagura_queue_depth_observed histogram\n")
-	m.QueueDepths.WritePrometheus(&b, "kagura_queue_depth_observed", "")
-	w("# HELP kagura_queue_depth_sampled Queue depth sampled on a timer tick (time-weighted).\n")
-	w("# TYPE kagura_queue_depth_sampled histogram\n")
-	m.QueueDepthsSampled.WritePrometheus(&b, "kagura_queue_depth_sampled", "")
-	w("# HELP kagura_result_bytes Estimated retained size of each cached result.\n")
-	w("# TYPE kagura_result_bytes histogram\n")
-	m.ResultBytes.WritePrometheus(&b, "kagura_result_bytes", "")
-	w("# HELP kagura_warm_snapshot_bytes Encoded size of each warm-start snapshot.\n")
-	w("# TYPE kagura_warm_snapshot_bytes histogram\n")
-	m.SnapshotBytes.WritePrometheus(&b, "kagura_warm_snapshot_bytes", "")
+	obs.MetricJournalEnabled.Single(&b, oneIf(m.JournalEnabled))
+	obs.MetricJournalAppendsTotal.Single(&b, m.Journal.Appends)
+	obs.MetricJournalAppendErrorsTotal.Single(&b, m.Journal.AppendErrors)
+	obs.MetricJournalRotationsTotal.Single(&b, m.Journal.Rotations)
+	obs.MetricJournalCorruptSegmentsTotal.Single(&b, m.Journal.CorruptSegments)
+	obs.MetricJournalBytes.Single(&b, m.Journal.SizeBytes)
+	obs.MetricJournalPendingJobs.Single(&b, m.Journal.PendingJobs)
+	obs.MetricJournalReplayedJobsTotal.Single(&b, m.JournalReplayedJobs)
+	obs.MetricJobPhaseSeconds.Header(&b)
+	m.QueueSeconds.WritePrometheus(&b, obs.MetricJobPhaseSeconds, `phase="queue"`)
+	m.RunSeconds.WritePrometheus(&b, obs.MetricJobPhaseSeconds, `phase="run"`)
+	obs.MetricQueueDepthObserved.Header(&b)
+	m.QueueDepths.WritePrometheus(&b, obs.MetricQueueDepthObserved, "")
+	obs.MetricQueueDepthSampled.Header(&b)
+	m.QueueDepthsSampled.WritePrometheus(&b, obs.MetricQueueDepthSampled, "")
+	obs.MetricResultBytes.Header(&b)
+	m.ResultBytes.WritePrometheus(&b, obs.MetricResultBytes, "")
+	obs.MetricWarmSnapshotBytes.Header(&b)
+	m.SnapshotBytes.WritePrometheus(&b, obs.MetricWarmSnapshotBytes, "")
 	return b.String()
+}
+
+// oneIf renders a boolean state as the 0/1 value a Prometheus gauge carries.
+func oneIf(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
 }

@@ -360,7 +360,7 @@ func TestResponseWriteFaultDoesNotWedgeService(t *testing.T) {
 			t.Fatalf("aborted response delivered a complete body: %q", body)
 		}
 	}
-	if faultinject.Fires("simsvc.http.response") != 1 {
+	if faultinject.SimsvcHTTPResponse.Fires() != 1 {
 		t.Fatal("response fault did not fire")
 	}
 

@@ -8,37 +8,6 @@ import (
 	"kagura/internal/faultinject"
 )
 
-// Fault-injection points instrumenting the service (DESIGN.md §10 catalogs
-// them). Disabled — the production default — each is one atomic load.
-var (
-	// fpCompute fires at the start of every compute attempt (error, panic, or
-	// latency faults exercise retry, recover, and timeout paths).
-	fpCompute = faultinject.Point("simsvc.compute")
-	// fpCacheInsert fires after a successful compute, before the result is
-	// published to the cache.
-	fpCacheInsert = faultinject.Point("simsvc.cache.insert")
-	// fpCoalesce fires when a submission coalesces onto an in-flight twin
-	// (error-only: evaluated under the service mutex).
-	fpCoalesce = faultinject.Point("simsvc.coalesce")
-	// fpWarmEvict fires on warm-cache eviction passes (error-only, under the
-	// mutex); an injected error forces one premature eviction.
-	fpWarmEvict = faultinject.Point("simsvc.warm.evict")
-	// fpWarmSnapshot fires inside the warm-start snapshot computation — the
-	// owner-failure path.
-	fpWarmSnapshot = faultinject.Point("simsvc.warmstart.snapshot")
-	// fpWarmFork fires before a forked job resumes from its snapshot — the
-	// degrade-to-cold path.
-	fpWarmFork = faultinject.Point("simsvc.warmstart.fork")
-	// fpHTTPBody fires while decoding a request body (latency simulates a
-	// slow client, error an aborted body).
-	fpHTTPBody = faultinject.Point("simsvc.http.body")
-	// fpHTTPResponse fires in writeJSON before the response body is encoded
-	// (error-only). An injected error simulates a connection dying mid-write:
-	// the handler emits a truncated body and aborts with http.ErrAbortHandler,
-	// exactly what a peer reset looks like from inside the server.
-	fpHTTPResponse = faultinject.Point("simsvc.http.response")
-)
-
 // ErrorCode is the machine-readable error taxonomy carried in the `code`
 // field of every /v1 error response and the kagura_errors_total metric.
 type ErrorCode string

@@ -369,7 +369,7 @@ func TestWarmOwnerFailureRetry(t *testing.T) {
 			t.Fatalf("job %d did not complete", i)
 		}
 	}
-	if got := faultinject.Fires("simsvc.warmstart.snapshot"); got != 1 {
+	if got := faultinject.SimsvcWarmStartSnapshot.Fires(); got != 1 {
 		t.Fatalf("snapshot point fired %d times, want 1", got)
 	}
 	m := svc.Metrics()
@@ -414,7 +414,7 @@ func TestWarmEvictionRacesFork(t *testing.T) {
 	if n := svc.WarmStartLen(); n > 2 {
 		t.Fatalf("warm cache holds %d snapshots, capacity 2", n)
 	}
-	if faultinject.Fires("simsvc.warm.evict") == 0 {
+	if faultinject.SimsvcWarmEvict.Fires() == 0 {
 		t.Fatal("eviction chaos never fired; the race was not exercised")
 	}
 }

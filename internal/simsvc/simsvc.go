@@ -40,6 +40,7 @@ import (
 
 	"kagura/internal/ckpt"
 	"kagura/internal/ehs"
+	"kagura/internal/faultinject"
 	"kagura/internal/journal"
 	"kagura/internal/obs"
 	"kagura/internal/rng"
@@ -784,7 +785,7 @@ func (s *Service) submitLocked(spec *RunSpec, key string, compute func(context.C
 		s.met.jobsCached++
 		s.finishOneLocked(job, e.res, nil, true, job.created)
 	case e != nil:
-		if ierr := fpCoalesce.FireErr(); ierr != nil {
+		if ierr := faultinject.SimsvcCoalesce.FireErr(); ierr != nil {
 			delete(s.jobs, job.id)
 			job.cancel()
 			s.met.countError(Classify(ierr))
@@ -961,12 +962,12 @@ func (s *Service) runJob(job *Job) {
 	// worker kill.
 	attempt := func() (*ehs.Result, error) {
 		return s.safeCompute(ctx, func(ctx context.Context) (*ehs.Result, error) {
-			if ierr := fpCompute.Fire(ctx); ierr != nil {
+			if ierr := faultinject.SimsvcCompute.Fire(ctx); ierr != nil {
 				return nil, ierr
 			}
 			res, err := compute(ctx)
 			if err == nil {
-				if ierr := fpCacheInsert.Fire(ctx); ierr != nil {
+				if ierr := faultinject.SimsvcCacheInsert.Fire(ctx); ierr != nil {
 					return nil, ierr
 				}
 			}

@@ -10,6 +10,7 @@ import (
 
 	"kagura/internal/ckpt"
 	"kagura/internal/ehs"
+	"kagura/internal/faultinject"
 	"kagura/internal/obs"
 	"kagura/internal/store"
 )
@@ -102,7 +103,7 @@ func (s *Service) submitFork(spec RunSpec, base RunSpec, baseKey string, cycles 
 		tr.Begin(obs.PhaseWarmStart, time.Now())
 		snap, err := s.warmSnapshot(ctx, base, baseKey, cycles)
 		if err == nil {
-			err = fpWarmFork.Fire(ctx)
+			err = faultinject.SimsvcWarmStartFork.Fire(ctx)
 		}
 		tr.Begin(obs.PhaseCompute, time.Now())
 		if err == nil {
@@ -218,7 +219,7 @@ func (s *Service) warmSnapshot(ctx context.Context, base RunSpec, baseKey string
 
 // computeWarmSnapshot runs the base config to the fork cycle and snapshots.
 func computeWarmSnapshot(ctx context.Context, baseCfg ehs.Config, cycles int64) (*ehs.Snapshot, error) {
-	if err := fpWarmSnapshot.Fire(ctx); err != nil {
+	if err := faultinject.SimsvcWarmStartSnapshot.Fire(ctx); err != nil {
 		return nil, err
 	}
 	sim, err := ehs.New(baseCfg)
@@ -236,7 +237,7 @@ func computeWarmSnapshot(ctx context.Context, baseCfg ehs.Config, cycles int64) 
 // them; they just stop being findable. Callers hold s.mu.
 func (s *Service) evictWarmLocked() {
 	limit := s.opts.WarmStartCapacity
-	if fpWarmEvict.FireErr() != nil && limit > 0 {
+	if faultinject.SimsvcWarmEvict.FireErr() != nil && limit > 0 {
 		// Injected fault: evict one entry prematurely, forcing forks to race
 		// the eviction of a snapshot they may still be waiting on.
 		limit--

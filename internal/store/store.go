@@ -43,18 +43,6 @@ import (
 	"kagura/internal/frame"
 )
 
-// Fault-injection points on the persistence paths. Disabled — the production
-// default — each is one atomic load. store.write additionally supports
-// KindCorrupt: the encoded entry is corrupted before it lands, simulating a
-// torn write that survives the atomic rename (the bytes were wrong before
-// the commit point); the read path must then quarantine it.
-var (
-	fpOpen  = faultinject.Point("store.open")
-	fpRead  = faultinject.Point("store.read")
-	fpWrite = faultinject.Point("store.write")
-	fpEvict = faultinject.Point("store.evict")
-)
-
 // DefaultBudgetBytes is the default disk budget: 1 GiB.
 const DefaultBudgetBytes = 1 << 30
 
@@ -140,7 +128,7 @@ type Store struct {
 // invalid entries found by the scan are quarantined, not fatal: Open fails
 // only when the directory itself cannot be created or listed.
 func Open(opts Options) (*Store, error) {
-	if err := fpOpen.FireErr(); err != nil {
+	if err := faultinject.StoreOpen.FireErr(); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", opts.Dir, err)
 	}
 	if opts.Dir == "" {
@@ -314,7 +302,7 @@ func (s *Store) read(ek entryKey) ([]byte, *meta) {
 		s.met.misses[ek.kind]++
 		return nil, nil
 	}
-	if err := fpRead.FireErr(); err != nil {
+	if err := faultinject.StoreRead.FireErr(); err != nil {
 		s.met.misses[ek.kind]++
 		return nil, nil
 	}
@@ -326,7 +314,7 @@ func (s *Store) read(ek entryKey) ([]byte, *meta) {
 		s.met.misses[ek.kind]++
 		return nil, nil
 	}
-	data = fpRead.CorruptBytes(data)
+	data = faultinject.StoreRead.CorruptBytes(data)
 	h, payload, err := DecodeEntry(data)
 	if err != nil || h.Kind != ek.kind || h.Key != ek.key {
 		s.quarantineLocked(ek, m)
@@ -348,10 +336,10 @@ func (s *Store) Put(kind Kind, key string, payload []byte) error {
 	// Torn-write chaos: an armed KindCorrupt rule damages the entry before
 	// the commit point, so a corrupt-but-complete file lands on disk — the
 	// failure mode the read path's quarantine exists for.
-	blob = fpWrite.CorruptBytes(blob)
+	blob = faultinject.StoreWrite.CorruptBytes(blob)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := fpWrite.FireErr(); err != nil {
+	if err := faultinject.StoreWrite.FireErr(); err != nil {
 		s.met.writeErrors++
 		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
 	}
@@ -507,7 +495,7 @@ func (s *Store) evictLocked() {
 		return
 	}
 	budget := s.budget
-	if fpEvict.FireErr() != nil {
+	if faultinject.StoreEvict.FireErr() != nil {
 		// Injected fault: pretend the budget is zero for one pass, evicting
 		// everything — callers must degrade to recompute, never crash.
 		budget = 0
