@@ -81,7 +81,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 10*time.Minute, "per-job execution timeout (0 = none)")
 		retain   = flag.Int("retain", 4096, "finished jobs kept queryable by id")
 		cacheCap = flag.Int("cache-capacity", 4096,
-			"result-cache entry bound; LRU eviction beyond it (negative = unbounded)")
+			"memory-cache entry bound, results and warm-start snapshots together; LRU eviction beyond it (negative = unbounded)")
 		storeDir = flag.String("store-dir", "",
 			"persistent result/checkpoint store directory; survives restarts (empty = memory-only)")
 		storeBudget = flag.Int64("store-budget", 0,

@@ -22,10 +22,13 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Loader parses and typechecks packages of a single module without the go
-// toolchain or any third-party machinery: module-local imports resolve by the
-// trivial path mapping (modPath/x/y → modDir/x/y) and everything else — the
-// standard library — through go/importer's source importer. Offline by
+// Loader parses and typechecks packages of a single module without any
+// third-party machinery: module-local imports resolve by the trivial path
+// mapping (modPath/x/y → modDir/x/y) and are typechecked from source, and
+// everything else — the standard library — is read from compiler export
+// data through go/importer's "gc" importer, which runs `go list -export`
+// with the toolchain's own go command ($GOROOT/bin/go), so that toolchain
+// must be installed, as it is for every go run or go test. Offline by
 // construction; results are cached per import path.
 type Loader struct {
 	ModPath string
@@ -64,7 +67,7 @@ func NewLoader(dir string) (*Loader, error) {
 		ModPath: modPath,
 		ModDir:  abs,
 		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		std:     importer.ForCompiler(fset, "gc", nil).(types.ImporterFrom),
 		// One types.Info, with every map analyzers need, shared by all
 		// packages this loader typechecks.
 		info: &types.Info{
@@ -161,7 +164,7 @@ func (l *Loader) moduleRelative(importPath string) (string, bool) {
 }
 
 // loaderImporter resolves imports during typechecking: module-local packages
-// recurse through the Loader, the rest goes to the source importer.
+// recurse through the Loader, the rest goes to the export-data importer.
 type loaderImporter Loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {

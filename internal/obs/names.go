@@ -86,9 +86,9 @@ var (
 	MetricErrorsTotal          = counter("kagura_errors_total", "Errors by taxonomy code.")
 
 	// In-memory result cache.
-	MetricCacheBytes          = gauge("kagura_cache_bytes", "Estimated bytes retained by the result cache.")
-	MetricCacheCapacity       = gauge("kagura_cache_capacity", "Result cache entry bound (0 = unbounded).")
-	MetricCacheEvictionsTotal = counter("kagura_cache_evictions_total", "Results evicted from the bounded cache.")
+	MetricCacheBytes          = gauge("kagura_cache_bytes", "Estimated bytes retained by the memory cache (results and warm-start snapshots).")
+	MetricCacheCapacity       = gauge("kagura_cache_capacity", "Memory cache entry bound across results and warm-start snapshots (0 = unbounded).")
+	MetricCacheEvictionsTotal = counter("kagura_cache_evictions_total", "Results and warm-start snapshots evicted from the bounded memory cache.")
 
 	// Persistent on-disk store.
 	MetricStoreEnabled           = gauge("kagura_store_enabled", "Persistent store tier configured and open (1 = yes).")
@@ -115,7 +115,6 @@ var (
 	// Histograms.
 	MetricJobPhaseSeconds    = histogram("kagura_job_phase_seconds", "Job latency by phase.")
 	MetricQueueDepthObserved = histogram("kagura_queue_depth_observed", "Queue depth sampled at each enqueue.")
-	MetricQueueDepthSampled  = histogram("kagura_queue_depth_sampled", "Queue depth sampled on a timer tick (time-weighted).")
 	MetricResultBytes        = histogram("kagura_result_bytes", "Estimated retained size of each cached result.")
 
 	// Campaign engine (internal/campaign). The kagura_campaign prefix is the

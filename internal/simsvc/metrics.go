@@ -24,8 +24,8 @@ var (
 	queueDepthBuckets = []float64{
 		0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096,
 	}
-	// sizeBytesBuckets cover 1 KiB through 64 MiB, 4× apart — results are a
-	// few KiB without a cycle log and snapshots grow with trace position.
+	// sizeBytesBuckets cover 1 KiB through 64 MiB, 4× apart — results are
+	// about 1 KiB plus their cycle log, and encoded snapshots a few KiB.
 	sizeBytesBuckets = []float64{
 		1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,
 		1 << 20, 4 << 20, 16 << 20, 64 << 20,
@@ -59,10 +59,13 @@ type metrics struct {
 	// errorsByCode tallies terminal and rejection errors by taxonomy code.
 	errorsByCode map[ErrorCode]int64
 
-	// Result cache accounting: evictions from the bounded cache, and the
-	// estimated bytes currently retained by ready entries.
-	cacheEvictions int64
-	cacheBytes     int64
+	// Memory cache accounting, both kinds: evictions from the bounded
+	// cache, and the estimated bytes currently retained by ready entries.
+	// cachedSnapshots counts the ready snapshot entries; the rest of the
+	// LRU list is results.
+	cacheEvictions  int64
+	cacheBytes      int64
+	cachedSnapshots int
 
 	// storePublishDrops counts asynchronous store writes dropped because the
 	// publish queue was full (persistence is best-effort; serving is not).
@@ -74,12 +77,11 @@ type metrics struct {
 
 	// Fixed-bucket histograms; guarded by Service.mu like the counters, so
 	// the unsynchronized obs.Histogram is safe here.
-	queueSecondsHist      *obs.Histogram
-	runSecondsHist        *obs.Histogram
-	queueDepthHist        *obs.Histogram
-	queueDepthSampledHist *obs.Histogram
-	resultBytesHist       *obs.Histogram
-	snapshotBytesHist     *obs.Histogram
+	queueSecondsHist  *obs.Histogram
+	runSecondsHist    *obs.Histogram
+	queueDepthHist    *obs.Histogram
+	resultBytesHist   *obs.Histogram
+	snapshotBytesHist *obs.Histogram
 }
 
 // init constructs the histograms; called once from New before any job flows.
@@ -87,7 +89,6 @@ func (m *metrics) init() {
 	m.queueSecondsHist = obs.NewHistogram(latencySecondsBuckets...)
 	m.runSecondsHist = obs.NewHistogram(latencySecondsBuckets...)
 	m.queueDepthHist = obs.NewHistogram(queueDepthBuckets...)
-	m.queueDepthSampledHist = obs.NewHistogram(queueDepthBuckets...)
 	m.resultBytesHist = obs.NewHistogram(sizeBytesBuckets...)
 	m.snapshotBytesHist = obs.NewHistogram(sizeBytesBuckets...)
 }
@@ -110,7 +111,7 @@ type MetricsSnapshot struct {
 	Workers      int   `json:"workers"`
 	CachedKeys   int   `json:"cachedKeys"`
 
-	// Warm-start snapshot cache: reuse outcomes, cached snapshot count, and
+	// Warm starts: reuse outcomes, ready snapshots in the memory cache, and
 	// total simulated cycles skipped by reusing prefixes.
 	WarmStartHits   int64 `json:"warmStartHits"`
 	WarmStartMisses int64 `json:"warmStartMisses"`
@@ -133,9 +134,9 @@ type MetricsSnapshot struct {
 	Shedding        bool             `json:"shedding"`
 	Errors          map[string]int64 `json:"errors,omitempty"`
 
-	// Result cache occupancy and eviction pressure. CacheCapacity is the
-	// configured entry bound (0 = unbounded); CacheBytes estimates the bytes
-	// retained by ready entries.
+	// Memory cache occupancy and eviction pressure, results and snapshots
+	// together. CacheCapacity is the configured entry bound (0 = unbounded);
+	// CacheBytes estimates the bytes retained by ready entries.
 	CacheBytes     int64 `json:"cacheBytes"`
 	CacheCapacity  int   `json:"cacheCapacity"`
 	CacheEvictions int64 `json:"cacheEvictions"`
@@ -155,14 +156,11 @@ type MetricsSnapshot struct {
 	JournalReplayedJobs int64                   `json:"journalReplayedJobs"`
 
 	// Latency and size distributions (fixed buckets; see DESIGN.md §11).
-	QueueSeconds obs.HistogramSnapshot `json:"queueSeconds"`
-	RunSeconds   obs.HistogramSnapshot `json:"runSeconds"`
-	QueueDepths  obs.HistogramSnapshot `json:"queueDepths"`
-	// QueueDepthsSampled is the timer-sampled (time-weighted) queue-depth
-	// distribution, beside the per-enqueue QueueDepths.
-	QueueDepthsSampled obs.HistogramSnapshot `json:"queueDepthsSampled"`
-	ResultBytes        obs.HistogramSnapshot `json:"resultBytes"`
-	SnapshotBytes      obs.HistogramSnapshot `json:"snapshotBytes"`
+	QueueSeconds  obs.HistogramSnapshot `json:"queueSeconds"`
+	RunSeconds    obs.HistogramSnapshot `json:"runSeconds"`
+	QueueDepths   obs.HistogramSnapshot `json:"queueDepths"`
+	ResultBytes   obs.HistogramSnapshot `json:"resultBytes"`
+	SnapshotBytes obs.HistogramSnapshot `json:"snapshotBytes"`
 }
 
 // AvgQueueSeconds returns the mean submit→pickup latency.
@@ -186,35 +184,34 @@ func (s *Service) Metrics() MetricsSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := MetricsSnapshot{
-		JobsRun:            s.met.jobsRun,
-		JobsCached:         s.met.jobsCached,
-		JobsFailed:         s.met.jobsFailed,
-		JobsCanceled:       s.met.jobsCanceled,
-		QueueDepth:         len(s.queue),
-		Workers:            s.opts.Workers,
-		QueueSecondsTotal:  float64(s.met.queueNanos) / 1e9,
-		QueueSamples:       s.met.queueCount,
-		RunSecondsTotal:    float64(s.met.runNanos) / 1e9,
-		RunSamples:         s.met.runCount,
-		WarmStartHits:      s.met.warmHits,
-		WarmStartMisses:    s.met.warmMisses,
-		WarmSnapshots:      len(s.warm),
-		WarmCyclesSaved:    s.met.warmCyclesSaved,
-		PanicsRecovered:    s.met.panicsRecovered,
-		JobsRetried:        s.met.jobsRetried,
-		JobsShed:           s.met.jobsShed,
-		DegradedRuns:       s.met.degradedRuns,
-		Shedding:           s.shedding,
-		CacheBytes:         s.met.cacheBytes,
-		CacheCapacity:      s.opts.CacheCapacity,
-		CacheEvictions:     s.met.cacheEvictions,
-		StorePublishDrops:  s.met.storePublishDrops,
-		QueueSeconds:       s.met.queueSecondsHist.Snapshot(),
-		RunSeconds:         s.met.runSecondsHist.Snapshot(),
-		QueueDepths:        s.met.queueDepthHist.Snapshot(),
-		QueueDepthsSampled: s.met.queueDepthSampledHist.Snapshot(),
-		ResultBytes:        s.met.resultBytesHist.Snapshot(),
-		SnapshotBytes:      s.met.snapshotBytesHist.Snapshot(),
+		JobsRun:           s.met.jobsRun,
+		JobsCached:        s.met.jobsCached,
+		JobsFailed:        s.met.jobsFailed,
+		JobsCanceled:      s.met.jobsCanceled,
+		QueueDepth:        len(s.queue),
+		Workers:           s.opts.Workers,
+		QueueSecondsTotal: float64(s.met.queueNanos) / 1e9,
+		QueueSamples:      s.met.queueCount,
+		RunSecondsTotal:   float64(s.met.runNanos) / 1e9,
+		RunSamples:        s.met.runCount,
+		WarmStartHits:     s.met.warmHits,
+		WarmStartMisses:   s.met.warmMisses,
+		WarmSnapshots:     s.met.cachedSnapshots,
+		WarmCyclesSaved:   s.met.warmCyclesSaved,
+		PanicsRecovered:   s.met.panicsRecovered,
+		JobsRetried:       s.met.jobsRetried,
+		JobsShed:          s.met.jobsShed,
+		DegradedRuns:      s.met.degradedRuns,
+		Shedding:          s.shedding,
+		CacheBytes:        s.met.cacheBytes,
+		CacheCapacity:     s.opts.CacheCapacity,
+		CacheEvictions:    s.met.cacheEvictions,
+		StorePublishDrops: s.met.storePublishDrops,
+		QueueSeconds:      s.met.queueSecondsHist.Snapshot(),
+		RunSeconds:        s.met.runSecondsHist.Snapshot(),
+		QueueDepths:       s.met.queueDepthHist.Snapshot(),
+		ResultBytes:       s.met.resultBytesHist.Snapshot(),
+		SnapshotBytes:     s.met.snapshotBytesHist.Snapshot(),
 	}
 	snap.JournalReplayedJobs = s.met.journalReplayed
 	if s.store != nil {
@@ -237,7 +234,7 @@ func (s *Service) Metrics() MetricsSnapshot {
 			}
 		}
 	}
-	snap.CachedKeys = s.lru.Len() // the LRU lists exactly the ready entries
+	snap.CachedKeys = s.lru.Len() - s.met.cachedSnapshots // the LRU lists exactly the ready entries
 	return snap
 }
 
@@ -309,8 +306,6 @@ func (m MetricsSnapshot) Prometheus() string {
 	m.RunSeconds.WritePrometheus(&b, obs.MetricJobPhaseSeconds, `phase="run"`)
 	obs.MetricQueueDepthObserved.Header(&b)
 	m.QueueDepths.WritePrometheus(&b, obs.MetricQueueDepthObserved, "")
-	obs.MetricQueueDepthSampled.Header(&b)
-	m.QueueDepthsSampled.WritePrometheus(&b, obs.MetricQueueDepthSampled, "")
 	obs.MetricResultBytes.Header(&b)
 	m.ResultBytes.WritePrometheus(&b, obs.MetricResultBytes, "")
 	obs.MetricWarmSnapshotBytes.Header(&b)

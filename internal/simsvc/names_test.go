@@ -87,7 +87,6 @@ func goldenSnapshot() MetricsSnapshot {
 		QueueSeconds:        hist([]float64{0.001, 0.01, 0.1}, 0.0005, 0.05, 3),
 		RunSeconds:          hist([]float64{0.01, 1}, 0.02, 0.5, 0.75),
 		QueueDepths:         hist([]float64{1, 4, 16}, 0, 2, 2, 40),
-		QueueDepthsSampled:  hist([]float64{1, 4, 16}, 1, 5),
 		ResultBytes:         hist([]float64{512, 4096}, 400, 600),
 		SnapshotBytes:       hist([]float64{1 << 16, 1 << 20}, 70000),
 	}

@@ -365,20 +365,6 @@ func TestStoreOpenFailureDegradesToMemoryOnly(t *testing.T) {
 	}
 }
 
-func TestQueueDepthSampler(t *testing.T) {
-	svc := newTestService(t, Options{Workers: 1})
-	for i := 0; i < 3; i++ {
-		svc.SampleQueueDepth() // the deterministic injected-clock tick
-	}
-	m := svc.Metrics()
-	if m.QueueDepthsSampled.Count != 3 {
-		t.Fatalf("sampled count = %d, want 3", m.QueueDepthsSampled.Count)
-	}
-	if !containsLine(m.Prometheus(), "kagura_queue_depth_sampled_count 3") {
-		t.Fatal("kagura_queue_depth_sampled missing from exposition")
-	}
-}
-
 // containsLine reports whether exposition contains the exact line.
 func containsLine(exposition, line string) bool {
 	for len(exposition) > 0 {

@@ -16,6 +16,7 @@ import (
 
 	"kagura/internal/ehs"
 	"kagura/internal/faultinject"
+	"kagura/internal/store"
 )
 
 // armChaos enables a fault plan for one test, disarming on cleanup.
@@ -312,13 +313,11 @@ func TestCorruptWarmSnapshotDegradesToCold(t *testing.T) {
 	}
 	snap.ICache.Sets = snap.ICache.Sets[:1]
 
-	// Plant it in the warm cache as a resolved entry.
-	done := make(chan struct{})
-	close(done)
-	k := warmKey{baseKey: baseKey, cycles: cycles}
+	// Plant it in the memory cache as a ready snapshot entry.
+	k := cacheKey{kind: store.KindCheckpoint, key: warmStoreKey(baseKey, cycles)}
 	svc.mu.Lock()
-	svc.warm[k] = &warmEntry{done: done, snap: snap}
-	svc.warmOrder = append(svc.warmOrder, k)
+	svc.cache[k] = &entry{snap: snap}
+	svc.publishLocked(k, svc.cache[k], 0, nil)
 	svc.mu.Unlock()
 
 	jobs, err := svc.SubmitBatchFork([]RunSpec{base}, &ForkPoint{Cycles: cycles})
@@ -381,16 +380,16 @@ func TestWarmOwnerFailureRetry(t *testing.T) {
 	}
 }
 
-// TestWarmEvictionRacesFork exercises FIFO eviction racing in-flight forks:
+// TestWarmEvictionRacesFork exercises LRU eviction racing in-flight forks:
 // injected snapshot latency holds owners in flight while an injected evict
-// fault prunes the cache early. Jobs already waiting on an evicted entry
-// must still resolve. Runs under -race in CI.
+// fault prunes the cache early. Jobs whose snapshot or result was evicted
+// after it was handed to them must still resolve. Runs under -race in CI.
 func TestWarmEvictionRacesFork(t *testing.T) {
 	armChaos(t, faultinject.Plan{Seed: 13, Rules: []faultinject.Rule{
 		{Point: "simsvc.warmstart.snapshot", Kind: faultinject.KindLatency, Every: 1, LatencyMicros: 30_000},
 		{Point: "simsvc.warm.evict", Kind: faultinject.KindError, Every: 1},
 	}})
-	svc := newTestService(t, Options{Workers: 4, WarmStartCapacity: 2})
+	svc := newTestService(t, Options{Workers: 4, CacheCapacity: 2})
 	specs := sweepSpecs()
 	var jobs []*Job
 	for _, cycles := range []int64{10_000, 20_000, 30_000} {
@@ -411,7 +410,7 @@ func TestWarmEvictionRacesFork(t *testing.T) {
 			t.Fatalf("job %d did not complete", i)
 		}
 	}
-	if n := svc.WarmStartLen(); n > 2 {
+	if n := svc.Metrics().WarmSnapshots; n > 2 {
 		t.Fatalf("warm cache holds %d snapshots, capacity 2", n)
 	}
 	if faultinject.SimsvcWarmEvict.Fires() == 0 {

@@ -89,19 +89,15 @@ type Options struct {
 	// RetainJobs bounds how many finished jobs stay queryable by ID before
 	// the oldest are pruned (default 4096).
 	RetainJobs int
-	// CacheCapacity bounds the result cache to this many completed entries
-	// (default 4096); beyond it the least-recently-used completed result is
-	// evicted and its next submission recomputes. In-flight entries — an
-	// owner still computing, with or without coalesced waiters — are never
-	// evicted and do not count against the bound. Negative means unbounded
-	// (the pre-bound behavior: one ehs.Result retained per distinct spec,
-	// forever — an OOM under sustained unique-spec traffic).
+	// CacheCapacity bounds the memory cache to this many completed entries
+	// (default 4096), results and warm-start snapshots together; beyond it
+	// the least-recently-used completed entry is evicted and its next use
+	// recomputes (or reloads it from the store). In-flight entries — an owner
+	// still computing, with or without waiters — are never evicted and do
+	// not count against the bound. Negative means unbounded (one entry
+	// retained per distinct key, forever — an OOM under sustained
+	// unique-spec traffic).
 	CacheCapacity int
-	// WarmStartCapacity bounds the cache of warm-start snapshots keyed on
-	// (base spec, fork cycle); the oldest are evicted FIFO (default 64).
-	// Snapshots hold full simulator state, so this bound is the service's
-	// warm-start memory budget.
-	WarmStartCapacity int
 
 	// RetryMax bounds retries after a transient compute failure — a
 	// recovered panic or an error exposing Temporary() true. Deterministic
@@ -140,17 +136,6 @@ type Options struct {
 	// evicting oldest-access entries (0 ⇒ store.DefaultBudgetBytes, 1 GiB;
 	// negative ⇒ unbounded).
 	StoreBudgetBytes int64
-	// StorePublishDepth bounds the queue of pending asynchronous store
-	// writes (default 256). When full, publishes are dropped and counted
-	// (kagura_store_publish_drops_total) rather than backpressuring the
-	// serving path: persistence is best-effort, serving is not.
-	StorePublishDepth int
-
-	// QueueSampleInterval, when positive, samples queue depth on a timer
-	// into the kagura_queue_depth_sampled histogram — a time-weighted view
-	// beside the per-enqueue kagura_queue_depth_observed. 0 disables the
-	// sampler; SampleQueueDepth can always be driven manually.
-	QueueSampleInterval time.Duration
 
 	// Journal, when non-nil, is the durable intent log the service writes
 	// through on job submit and settle (see journal.go for the replay
@@ -195,9 +180,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheCapacity < 0 {
 		o.CacheCapacity = 0 // negative means "unbounded"
 	}
-	if o.WarmStartCapacity <= 0 {
-		o.WarmStartCapacity = 64
-	}
 	if o.RetryMax == 0 {
 		o.RetryMax = 2
 	}
@@ -218,9 +200,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShedLowWater <= 0 || o.ShedLowWater >= o.ShedHighWater {
 		o.ShedLowWater = o.ShedHighWater / 2
-	}
-	if o.StorePublishDepth <= 0 {
-		o.StorePublishDepth = 256
 	}
 	return o
 }
@@ -312,18 +291,33 @@ type JobStatus struct {
 	Trace []obs.Span `json:"trace,omitempty"`
 }
 
-// entry is one cache slot: a completed result, or an in-flight owner with
-// coalesced waiters.
+// cacheKey identifies one memory-cache entry: the same (kind, key) identity
+// the persistent store files it under. A result's key is its job key; a
+// warm-start snapshot's is warmStoreKey(baseKey, cycles).
+type cacheKey struct {
+	kind store.Kind
+	key  string
+}
+
+// resultKey is the cache identity of a job's result.
+func resultKey(key string) cacheKey { return cacheKey{kind: store.KindResult, key: key} }
+
+// entry is one cache slot, ready or in flight. Waiting is per kind: a result
+// entry in flight has an owner job with coalesced waiter jobs, resolved by
+// finishJobLocked; a snapshot entry in flight has a running fork computation
+// as owner, and other forks block on done (warmSnapshot).
 type entry struct {
 	owner   *Job
 	waiters []*Job
+	done    chan struct{} // snapshot entries: closed once the owner settles
 	ready   bool
-	res     *ehs.Result
-	// bytes is the estimated retained size of res, booked against the
-	// kagura_cache_bytes gauge while the entry lives.
+	res     *ehs.Result   // result entries
+	snap    *ehs.Snapshot // snapshot entries
+	// bytes is the estimated retained size of the value, booked against the
+	// kagura_cache_bytes gauge while the entry is listed.
 	bytes int
-	// elem is the entry's slot in the LRU list — non-nil exactly when the
-	// entry is ready. In-flight entries are never listed, which is what pins
+	// elem is the entry's slot in the LRU list, set when the entry is
+	// published. In-flight entries are never listed, which is what pins
 	// them against eviction.
 	elem *list.Element
 }
@@ -339,10 +333,11 @@ type Service struct {
 
 	mu     sync.Mutex
 	closed bool
-	cache  map[string]*entry
-	// lru orders the ready cache entries (front = most recently used); its
-	// keys are exactly the ready entries, so len is the memoized-result
-	// count and the back is the next eviction victim.
+	// cache holds results and warm-start snapshots under one bound.
+	cache map[cacheKey]*entry
+	// lru orders the ready cache entries of both kinds (front = most
+	// recently used); its cacheKeys are exactly the ready entries, so its
+	// length is the bounded count and the back is the next eviction victim.
 	lru      *list.List
 	jobs     map[string]*Job
 	finished []string // FIFO of terminal job IDs, for retention pruning
@@ -352,11 +347,6 @@ type Service struct {
 	shedding bool
 	// retryRng draws backoff jitter; seeded, so backoff is reproducible.
 	retryRng *rng.Source
-
-	// Warm-start snapshot cache: (base spec, cycle) → singleflight entry,
-	// with FIFO eviction order.
-	warm      map[warmKey]*warmEntry
-	warmOrder []warmKey
 
 	// Persistent tier (nil unless Options.StoreDir is set and opened). The
 	// pump goroutine drains storeQ until Close closes it; storeErr records a
@@ -381,10 +371,9 @@ func New(opts Options) *Service {
 		baseCtx: ctx,
 		stop:    cancel,
 		queue:   make(chan *Job, opts.QueueDepth),
-		cache:   make(map[string]*entry),
+		cache:   make(map[cacheKey]*entry),
 		lru:     list.New(),
 		jobs:    make(map[string]*Job),
-		warm:    make(map[warmKey]*warmEntry),
 		jnl:     opts.Journal,
 
 		retryRng: rng.New(opts.RetrySeed),
@@ -394,10 +383,6 @@ func New(opts Options) *Service {
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
-	}
-	if opts.QueueSampleInterval > 0 {
-		s.wg.Add(1)
-		go s.queueSampler(opts.QueueSampleInterval)
 	}
 	return s
 }
@@ -613,7 +598,7 @@ func (s *Service) Cancel(id string) error {
 		return nil
 	}
 	now := time.Now()
-	e := s.cache[job.key]
+	e := s.cache[resultKey(job.key)]
 	switch {
 	case e == nil || (e.owner == job && len(e.waiters) == 0):
 		// Nobody else depends on this computation: kill it outright. A queued
@@ -777,7 +762,8 @@ func (s *Service) submitLocked(spec *RunSpec, key string, compute func(context.C
 	job.ctx, job.cancel = context.WithCancel(s.baseCtx)
 	s.jobs[job.id] = job
 
-	e := s.cache[key]
+	ck := resultKey(key)
+	e := s.cache[ck]
 	switch {
 	case e != nil && e.ready:
 		s.lru.MoveToFront(e.elem)
@@ -805,7 +791,7 @@ func (s *Service) submitLocked(spec *RunSpec, key string, compute func(context.C
 		case s.queue <- job:
 			job.trace.Begin(obs.PhaseQueued, job.created)
 			s.met.queueDepthHist.Observe(float64(len(s.queue)))
-			s.cache[key] = &entry{owner: job}
+			s.cache[ck] = &entry{owner: job}
 			return job, true, nil
 		default:
 			delete(s.jobs, job.id)
@@ -890,7 +876,7 @@ func (s *Service) worker() {
 // coalesced onto it: an abandoned caller must not fail the remaining waiters.
 func (s *Service) cancelIfAlone(job *Job) {
 	s.mu.Lock()
-	e := s.cache[job.key]
+	e := s.cache[resultKey(job.key)]
 	alone := e == nil || (e.owner == job && len(e.waiters) == 0)
 	s.mu.Unlock()
 	if alone {
@@ -905,7 +891,7 @@ func (s *Service) cancelIfAlone(job *Job) {
 // a dead slot. Callers hold s.mu.
 func (s *Service) slotOwnerLocked(job *Job) *Job {
 	for job.state != StateQueued {
-		e := s.cache[job.key]
+		e := s.cache[resultKey(job.key)]
 		if e == nil || e.owner == nil || e.owner == job {
 			return nil
 		}
@@ -1054,7 +1040,8 @@ func (s *Service) finishJob(job *Job, res *ehs.Result, err error) {
 // finishJobLocked is finishJob with s.mu held. The returned key is non-empty
 // when the caller must append a journal settle for it (outside the lock).
 func (s *Service) finishJobLocked(job *Job, res *ehs.Result, err error, now time.Time) string {
-	e := s.cache[job.key]
+	ck := resultKey(job.key)
+	e := s.cache[ck]
 	ownsEntry := e != nil && e.owner == job
 	if terminalState(job.state) {
 		// The job was already resolved individually (Cancel), but if it still
@@ -1103,21 +1090,18 @@ func (s *Service) finishJobLocked(job *Job, res *ehs.Result, err error, now time
 		}
 		waiters := e.waiters
 		if err == nil {
-			e.ready, e.res, e.owner, e.waiters = true, res, nil, nil
-			e.bytes = resultBytes(res)
-			e.elem = s.lru.PushFront(job.key)
-			s.met.cacheBytes += int64(e.bytes)
-			s.met.resultBytesHist.Observe(float64(e.bytes))
-			s.evictCacheLocked()
+			e.res, e.owner, e.waiters = res, nil, nil
+			bytes := resultBytes(res)
+			s.met.resultBytesHist.Observe(float64(bytes))
 			// Write the result through to the persistent tier — unless it
 			// was just served from there.
+			var encode func() ([]byte, error)
 			if !job.fromStore {
-				s.publishStoreLocked(store.KindResult, job.key, func() ([]byte, error) {
-					return ckpt.EncodeResult(res)
-				})
+				encode = func() ([]byte, error) { return ckpt.EncodeResult(res) }
 			}
+			s.publishLocked(ck, e, bytes, encode)
 		} else {
-			delete(s.cache, job.key)
+			delete(s.cache, ck)
 		}
 		for _, w := range waiters {
 			switch {
@@ -1166,23 +1150,50 @@ func (s *Service) finishOneLocked(job *Job, res *ehs.Result, err error, cached b
 	s.retainLocked(job)
 }
 
+// publishLocked makes an in-flight entry ready — the one publish path for
+// both kinds: it joins the front of the LRU list, books its bytes, evicts
+// beyond CacheCapacity, and, when encode is non-nil, writes through to the
+// persistent tier. Callers hold s.mu.
+func (s *Service) publishLocked(k cacheKey, e *entry, bytes int, encode func() ([]byte, error)) {
+	e.ready, e.bytes = true, bytes
+	e.elem = s.lru.PushFront(k)
+	s.met.cacheBytes += int64(bytes)
+	if k.kind == store.KindCheckpoint {
+		s.met.cachedSnapshots++
+	}
+	s.evictCacheLocked()
+	if encode != nil {
+		s.publishStoreLocked(k.kind, k.key, encode)
+	}
+}
+
 // evictCacheLocked evicts least-recently-used ready entries until the cache
 // is back within CacheCapacity. Only ready entries live in the LRU list, so
-// in-flight owners — and with them any coalesced waiters, which exist only on
-// in-flight entries — are structurally exempt from eviction. Callers hold
+// in-flight entries of either kind — and with them every waiter, which
+// exists only on in-flight entries — are structurally exempt from eviction.
+// An evicted entry stays valid for whoever already holds it. Callers hold
 // s.mu.
 func (s *Service) evictCacheLocked() {
-	if s.opts.CacheCapacity <= 0 {
-		return
+	excess := 0
+	if s.opts.CacheCapacity > 0 {
+		excess = s.lru.Len() - s.opts.CacheCapacity
 	}
-	for s.lru.Len() > s.opts.CacheCapacity {
+	if faultinject.SimsvcWarmEvict.FireErr() != nil {
+		// Injected fault: evict one entry prematurely, forcing later forks
+		// and submissions to race the loss of an entry they were about to
+		// reuse.
+		excess = max(excess, 0) + 1
+	}
+	for ; excess > 0 && s.lru.Len() > 0; excess-- {
 		back := s.lru.Back()
-		key := back.Value.(string)
+		k := back.Value.(cacheKey)
 		s.lru.Remove(back)
-		if e := s.cache[key]; e != nil {
-			s.met.cacheBytes -= int64(e.bytes)
+		e := s.cache[k]
+		s.met.cacheBytes -= int64(e.bytes)
+		if k.kind == store.KindCheckpoint {
+			s.met.cachedSnapshots--
 		}
-		delete(s.cache, key)
+		delete(s.cache, k)
 		s.met.cacheEvictions++
 	}
 }
@@ -1217,8 +1228,9 @@ func (s *Service) retainLocked(job *Job) {
 	}
 }
 
-// CacheLen returns the number of memoized results. The LRU list holds exactly
-// the ready entries, so its length is the answer in O(1).
+// CacheLen returns the number of ready memory-cache entries, results and
+// warm-start snapshots together — the count CacheCapacity bounds. The LRU
+// list holds exactly the ready entries, so its length is the answer in O(1).
 func (s *Service) CacheLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

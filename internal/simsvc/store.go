@@ -1,7 +1,7 @@
 package simsvc
 
 // The persistent tier (internal/store) behind Options.StoreDir. The memory
-// LRU stays the first tier; misses there fall through to disk before paying
+// cache stays the first tier; misses there fall through to disk before paying
 // for a simulation, and successful computes write through asynchronously:
 // the hot path only enqueues an encode-and-Put onto a bounded channel
 // drained by one background pump goroutine, so disk latency never extends
@@ -18,6 +18,12 @@ import (
 	"kagura/internal/ehs"
 	"kagura/internal/store"
 )
+
+// storePublishDepth bounds the queue of pending asynchronous store writes.
+// When it is full, publishes are dropped and counted
+// (kagura_store_publish_drops_total) rather than backpressuring the serving
+// path: persistence is best-effort, serving is not.
+const storePublishDepth = 256
 
 // storeWrite is one queued asynchronous publish. encode runs on the pump
 // goroutine, off every hot path.
@@ -41,7 +47,7 @@ func (s *Service) openStore() {
 		return
 	}
 	s.store = st
-	s.storeQ = make(chan storeWrite, s.opts.StorePublishDepth)
+	s.storeQ = make(chan storeWrite, storePublishDepth)
 	s.storeWG.Add(1)
 	go s.storePump()
 }
@@ -104,9 +110,8 @@ func (s *Service) storeGetResult(key string) (*ehs.Result, bool) {
 	return res, ok
 }
 
-// warmStoreKey is the persistent-tier key for a warm-start snapshot: the
-// base spec's content key plus the fork cycle, the same identity as the
-// in-memory warmKey.
+// warmStoreKey is the key of a warm-start snapshot, in memory and on disk:
+// the base spec's content key plus the fork cycle.
 func warmStoreKey(baseKey string, cycles int64) string {
 	return fmt.Sprintf("warm|%s|%d", baseKey, cycles)
 }

@@ -29,20 +29,6 @@ type ForkPoint struct {
 	Base *RunSpec `json:"base,omitempty"`
 }
 
-// warmKey identifies one warm-start snapshot: a base config and a cycle.
-type warmKey struct {
-	baseKey string
-	cycles  int64
-}
-
-// warmEntry is a singleflight slot for one snapshot: the first job to need
-// it computes; concurrent jobs wait on done.
-type warmEntry struct {
-	done chan struct{}
-	snap *ehs.Snapshot
-	err  error
-}
-
 // SubmitBatchFork schedules a batch like SubmitBatch, but when fork is
 // non-nil every job warm-starts from the base spec's state at fork.Cycles.
 //
@@ -143,78 +129,88 @@ func forkKey(baseKey string, cycles int64, coldKey string) string {
 }
 
 // warmSnapshot returns the base spec's snapshot at the fork cycle,
-// computing it at most once per key while concurrent requests wait
-// (singleflight). A failed computation clears the slot; a waiter that
-// observes the failure retries as the new owner under its own context, so
-// one canceled job cannot poison the batch.
+// computing it at most once per key while concurrent forks wait on the
+// in-flight cache entry (singleflight). A failed computation deletes the
+// entry before signalling; a waiter that observes the failure retries as the
+// new owner under its own context, so one canceled job cannot poison the
+// batch. A hit is booked only when the snapshot is delivered.
 func (s *Service) warmSnapshot(ctx context.Context, base RunSpec, baseKey string, cycles int64) (*ehs.Snapshot, error) {
-	k := warmKey{baseKey: baseKey, cycles: cycles}
+	k := cacheKey{kind: store.KindCheckpoint, key: warmStoreKey(baseKey, cycles)}
 	for {
 		s.mu.Lock()
-		if e, ok := s.warm[k]; ok {
+		if e, ok := s.cache[k]; ok {
+			if !e.ready {
+				s.mu.Unlock()
+				select {
+				case <-e.done:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+				s.mu.Lock()
+				if !e.ready {
+					// The owner failed and removed the entry; try to take
+					// over. Progress is guaranteed: every iteration either
+					// finds a live entry or installs one.
+					s.mu.Unlock()
+					continue
+				}
+			} else {
+				s.lru.MoveToFront(e.elem)
+			}
 			s.met.warmHits++
 			s.met.warmCyclesSaved += cycles
 			s.mu.Unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if e.err != nil {
-				// The owner failed and removed the slot; try to take over.
-				// Progress is guaranteed: every iteration either finds a live
-				// entry or installs one.
-				s.mu.Lock()
-				s.met.warmHits--
-				s.met.warmCyclesSaved -= cycles
-				s.mu.Unlock()
-				continue
-			}
 			return e.snap, nil
 		}
-		e := &warmEntry{done: make(chan struct{})}
-		s.warm[k] = e
-		s.warmOrder = append(s.warmOrder, k)
-		s.evictWarmLocked()
+		e := &entry{done: make(chan struct{})}
+		s.cache[k] = e
 		s.met.warmMisses++
 		s.mu.Unlock()
 
 		// Only the owner of a snapshot miss builds the base config; hits and
 		// waiters above never do.
-		baseCfg, err := base.Config()
+		snap, blob, fromStore, err := s.loadWarmSnapshot(ctx, base, baseKey, cycles)
+		s.mu.Lock()
 		if err != nil {
-			e.err = err
-		} else if snap, blob, ok := s.storeGetSnapshot(baseCfg, baseKey, cycles); ok {
-			// Persistent-tier hit: a previous run (or process) already paid
-			// for this prefix. Book its wire size like a fresh snapshot.
-			e.snap = snap
-			s.mu.Lock()
-			s.met.snapshotBytesHist.Observe(float64(len(blob)))
-			s.mu.Unlock()
+			delete(s.cache, k)
 		} else {
-			e.snap, e.err = computeWarmSnapshot(ctx, baseCfg, cycles)
-			if e.err == nil {
-				// Book the snapshot's encoded size and write the blob through
-				// to the persistent tier. Encoding once per warm miss is noise
-				// next to the simulation that just produced the snapshot, and
-				// it is the exact wire size a checkpoint of this state has.
-				if blob, eerr := ckpt.Encode(e.snap); eerr == nil {
-					s.mu.Lock()
-					s.met.snapshotBytesHist.Observe(float64(len(blob)))
-					s.publishStoreLocked(store.KindCheckpoint, warmStoreKey(baseKey, cycles),
-						func() ([]byte, error) { return blob, nil })
-					s.mu.Unlock()
+			// Book the snapshot's encoded size — the exact wire size a
+			// checkpoint of this state has — and write a fresh blob through
+			// to the persistent tier.
+			e.snap = snap
+			var encode func() ([]byte, error)
+			if blob != nil {
+				s.met.snapshotBytesHist.Observe(float64(len(blob)))
+				if !fromStore {
+					encode = func() ([]byte, error) { return blob, nil }
 				}
 			}
-		}
-		s.mu.Lock()
-		if e.err != nil && s.warm[k] == e {
-			delete(s.warm, k)
+			s.publishLocked(k, e, len(blob), encode)
 		}
 		s.mu.Unlock()
 		close(e.done)
-		return e.snap, e.err
+		return snap, err
 	}
+}
+
+// loadWarmSnapshot produces a missed snapshot and its encoded bytes: from the
+// persistent tier when a previous run (or process) already paid for this
+// prefix, else by simulating it. Encoding once per miss is noise next to the
+// simulation that just produced the snapshot; a snapshot that fails to
+// encode (nil blob) still serves from memory, unsized and unpersisted.
+func (s *Service) loadWarmSnapshot(ctx context.Context, base RunSpec, baseKey string, cycles int64) (snap *ehs.Snapshot, blob []byte, fromStore bool, err error) {
+	baseCfg, err := base.Config()
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if snap, blob, ok := s.storeGetSnapshot(baseCfg, baseKey, cycles); ok {
+		return snap, blob, true, nil
+	}
+	if snap, err = computeWarmSnapshot(ctx, baseCfg, cycles); err != nil {
+		return nil, nil, false, err
+	}
+	blob, _ = ckpt.Encode(snap)
+	return snap, blob, false, nil
 }
 
 // computeWarmSnapshot runs the base config to the fork cycle and snapshots.
@@ -230,28 +226,4 @@ func computeWarmSnapshot(ctx context.Context, baseCfg ehs.Config, cycles int64) 
 		return nil, err
 	}
 	return sim.Snapshot()
-}
-
-// evictWarmLocked prunes the warm-start cache FIFO beyond its capacity.
-// Evicted in-flight entries still resolve for the jobs already waiting on
-// them; they just stop being findable. Callers hold s.mu.
-func (s *Service) evictWarmLocked() {
-	limit := s.opts.WarmStartCapacity
-	if faultinject.SimsvcWarmEvict.FireErr() != nil && limit > 0 {
-		// Injected fault: evict one entry prematurely, forcing forks to race
-		// the eviction of a snapshot they may still be waiting on.
-		limit--
-	}
-	for len(s.warmOrder) > limit {
-		k := s.warmOrder[0]
-		s.warmOrder = s.warmOrder[1:]
-		delete(s.warm, k)
-	}
-}
-
-// WarmStartLen returns the number of cached warm-start snapshots.
-func (s *Service) WarmStartLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.warm)
 }

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 	"time"
+
+	"kagura/internal/faultinject"
+	"kagura/internal/obs"
 )
 
 // sweepSpecs returns a base spec plus policy-sweep variants of it.
@@ -187,7 +191,7 @@ func TestSubmitBatchForkValidation(t *testing.T) {
 }
 
 func TestWarmStartCapacityEviction(t *testing.T) {
-	svc := newTestService(t, Options{Workers: 2, WarmStartCapacity: 2})
+	svc := newTestService(t, Options{Workers: 2, CacheCapacity: 2})
 	spec := quickSpec()
 	for i, cycles := range []int64{10_000, 20_000, 30_000} {
 		jobs, err := svc.SubmitBatchFork([]RunSpec{spec}, &ForkPoint{Cycles: cycles})
@@ -198,7 +202,7 @@ func TestWarmStartCapacityEviction(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	if n := svc.WarmStartLen(); n > 2 {
+	if n := svc.Metrics().WarmSnapshots; n > 2 {
 		t.Errorf("warm cache holds %d snapshots, capacity 2", n)
 	}
 }
@@ -278,5 +282,219 @@ func TestWarmStartHTTPBatch(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// waitWarmStartPhase blocks until job's open trace span is the warm-start
+// phase: its compute has begun resolving the snapshot.
+func waitWarmStartPhase(t *testing.T, svc *Service, job *Job) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, err := svc.Job(job.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(st.Trace); n > 0 && st.Trace[n-1].Phase == obs.PhaseWarmStart {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never reached the warm-start phase (state %s)", job.ID(), st.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCanceledWarmWaiterIsNotAHit: a fork canceled while it waits on an
+// in-flight snapshot was never delivered the snapshot, so it must book
+// neither a warm hit nor saved cycles.
+func TestCanceledWarmWaiterIsNotAHit(t *testing.T) {
+	armChaos(t, faultinject.Plan{Seed: 17, Rules: []faultinject.Rule{
+		{Point: "simsvc.warmstart.snapshot", Kind: faultinject.KindLatency, Every: 1, LatencyMicros: 400_000},
+	}})
+	svc := newTestService(t, Options{Workers: 2})
+	specs := sweepSpecs()
+	fork := &ForkPoint{Cycles: 20_000, Base: &specs[0]}
+	owner, err := svc.SubmitBatchFork(specs[1:2], fork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for faultinject.SimsvcWarmStartSnapshot.Fires() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	waiter, err := svc.SubmitBatchFork(specs[2:3], fork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Whether the cancel lands before the fork looks the entry up or while
+	// it waits on it, the fork finds the in-flight entry and is never
+	// delivered the snapshot.
+	waitWarmStartPhase(t, svc, waiter[0])
+	if err := svc.Cancel(waiter[0].ID()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := waiter[0].Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter settled with %v, want context.Canceled", err)
+	}
+	if _, err := owner[0].Wait(ctx); err != nil {
+		t.Fatalf("owner: %v", err)
+	}
+	m := svc.Metrics()
+	if m.WarmStartHits != 0 || m.WarmCyclesSaved != 0 {
+		t.Fatalf("WarmStartHits = %d, WarmCyclesSaved = %d; want 0, 0 (the snapshot was never delivered)",
+			m.WarmStartHits, m.WarmCyclesSaved)
+	}
+	if m.WarmStartMisses != 1 {
+		t.Fatalf("WarmStartMisses = %d, want 1", m.WarmStartMisses)
+	}
+}
+
+// TestCacheBoundCoversBothKinds: results and warm-start snapshots share one
+// bound. Under mixed fork batches and plain submits, the ready entries of
+// both kinds together never exceed CacheCapacity.
+func TestCacheBoundCoversBothKinds(t *testing.T) {
+	const capacity = 3
+	svc := newTestService(t, Options{Workers: 4, CacheCapacity: capacity})
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			if n := svc.CacheLen(); n > most {
+				most = n
+			}
+			select {
+			case <-stop:
+				peak <- most
+				return
+			default:
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	var jobs []*Job
+	for i, cycles := range []int64{10_000, 20_000, 30_000, 40_000} {
+		batch, err := svc.SubmitBatchFork(sweepSpecs(), &ForkPoint{Cycles: cycles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, batch...)
+		spec := quickSpec()
+		spec.Scale += 0.001 * float64(i+1)
+		job, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	for i, job := range jobs {
+		if _, err := job.Wait(ctx); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	close(stop)
+	if n := <-peak; n > capacity {
+		t.Fatalf("cache held %d ready entries, capacity %d", n, capacity)
+	}
+	m := svc.Metrics()
+	if m.CachedKeys+m.WarmSnapshots != svc.CacheLen() || svc.CacheLen() > capacity {
+		t.Fatalf("cached keys %d + warm snapshots %d vs CacheLen %d, capacity %d",
+			m.CachedKeys, m.WarmSnapshots, svc.CacheLen(), capacity)
+	}
+	if m.WarmStartMisses < 4 || m.CacheEvictions == 0 {
+		t.Fatalf("warm misses %d, evictions %d: the bound was not exercised", m.WarmStartMisses, m.CacheEvictions)
+	}
+}
+
+// TestInFlightSnapshotSurvivesResultChurn: an in-flight snapshot entry is not
+// in the LRU list, so results churning through a one-entry cache cannot evict
+// it; a fork arriving later waits on it instead of computing the prefix again.
+func TestInFlightSnapshotSurvivesResultChurn(t *testing.T) {
+	armChaos(t, faultinject.Plan{Seed: 19, Rules: []faultinject.Rule{
+		{Point: "simsvc.warmstart.snapshot", Kind: faultinject.KindLatency, Every: 1, LatencyMicros: 300_000},
+	}})
+	svc := newTestService(t, Options{Workers: 3, CacheCapacity: 1})
+	specs := sweepSpecs()
+	fork := &ForkPoint{Cycles: 20_000, Base: &specs[0]}
+	first, err := svc.SubmitBatchFork(specs[1:2], fork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for faultinject.SimsvcWarmStartSnapshot.Fires() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for i := 1; i <= 3; i++ {
+		spec := quickSpec()
+		spec.Scale += 0.001 * float64(i)
+		if _, err := svc.Run(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := svc.Metrics(); m.CacheEvictions < 2 {
+		t.Fatalf("evictions = %d, want >= 2: results did not churn", m.CacheEvictions)
+	}
+	second, err := svc.SubmitBatchFork(specs[2:3], fork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range append(first, second...) {
+		if _, err := job.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := faultinject.SimsvcWarmStartSnapshot.Fires(); got != 1 {
+		t.Fatalf("snapshot computed %d times, want 1", got)
+	}
+	if m := svc.Metrics(); m.WarmStartMisses != 1 || m.WarmStartHits != 1 {
+		t.Fatalf("warm misses %d, hits %d; want 1, 1", m.WarmStartMisses, m.WarmStartHits)
+	}
+}
+
+// TestSnapshotHitRefreshesRecency: a snapshot hit moves the snapshot to the
+// front of the one LRU list, so the older results are evicted before it.
+func TestSnapshotHitRefreshesRecency(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1, CacheCapacity: 3})
+	specs := sweepSpecs()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	runFork := func(spec RunSpec) *Job {
+		t.Helper()
+		jobs, err := svc.SubmitBatchFork([]RunSpec{spec}, &ForkPoint{Cycles: 20_000, Base: &specs[0]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := jobs[0].Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return jobs[0]
+	}
+	// LRU, front to back: plain result, base result, snapshot.
+	base := runFork(specs[0])
+	plain := quickSpec()
+	plain.Scale += 0.001
+	if _, err := svc.Run(ctx, plain); err != nil {
+		t.Fatal(err)
+	}
+	// The variant's snapshot hit refreshes the snapshot; publishing its
+	// result must then evict the base result, the least recently used.
+	runFork(specs[1])
+	m := svc.Metrics()
+	if m.WarmStartHits != 1 || m.CacheEvictions != 1 {
+		t.Fatalf("warm hits %d, evictions %d; want 1, 1", m.WarmStartHits, m.CacheEvictions)
+	}
+	if m.WarmSnapshots != 1 {
+		t.Fatal("the refreshed snapshot was evicted")
+	}
+	svc.mu.Lock()
+	_, baseCached := svc.cache[resultKey(base.Key())]
+	svc.mu.Unlock()
+	if baseCached {
+		t.Fatal("the least recently used result survived eviction")
 	}
 }

@@ -1,10 +1,11 @@
 // Package store is the persistent tier of the result and checkpoint caches:
 // a content-addressed, crash-safe on-disk store that survives restarts and
-// deploys. The memory tier (simsvc's LRU result cache and warm-start cache)
-// stays in front; misses there fall through here before paying for a
-// simulation, and publishes write through asynchronously (the background
-// pump lives in simsvc — this package spawns no goroutines and reads no
-// clocks, which keeps it inside the simdeterminism core-package set).
+// deploys. The memory tier (simsvc's one LRU cache of results and
+// warm-start snapshots, keyed by the same kind and key) stays in front;
+// misses there fall through here before paying for a simulation, and
+// publishes write through asynchronously (the background pump lives in
+// simsvc — this package spawns no goroutines and reads no clocks, which
+// keeps it inside the simdeterminism core-package set).
 //
 // Layout: one file per entry under a 256-way fanout keyed by the SHA-256 of
 // the entry key —

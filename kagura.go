@@ -29,7 +29,6 @@
 package kagura
 
 import (
-	"context"
 	"io"
 	"net/http"
 
@@ -39,8 +38,6 @@ import (
 	"kagura/internal/experiments"
 	"kagura/internal/journal"
 	"kagura/internal/kagura"
-	"kagura/internal/nvm"
-	"kagura/internal/obs"
 	"kagura/internal/powertrace"
 	"kagura/internal/simsvc"
 	"kagura/internal/workload"
@@ -53,19 +50,13 @@ type (
 	// Result is everything a run produces: timing, energy breakdown, cache
 	// statistics, power-cycle log.
 	Result = ehs.Result
-	// EnergyBreakdown splits consumption into Fig 16's six categories.
-	EnergyBreakdown = ehs.EnergyBreakdown
 	// Design selects the EHS crash-consistency architecture.
 	Design = ehs.Design
-	// Oracle drives the ideal intermittence-aware compressor (two-phase
-	// record/replay).
-	Oracle = ehs.Oracle
 )
 
 // EHS designs (§VIII-H1).
 const (
 	NVSRAMCache = ehs.NVSRAMCache
-	NvMR        = ehs.NvMR
 	SweepCache  = ehs.SweepCache
 )
 
@@ -73,8 +64,6 @@ const (
 type (
 	// ControllerConfig parameterizes the Kagura controller.
 	ControllerConfig = kagura.Config
-	// Controller is Kagura's register-level hardware state.
-	Controller = kagura.Controller
 	// Policy is the R_thres adaptation policy (AIMD default).
 	Policy = kagura.Policy
 	// Trigger selects memory-count or voltage triggering.
@@ -98,16 +87,6 @@ type (
 	Codec = compress.Codec
 	// BDI is Base-Delta-Immediate (the paper's default).
 	BDI = compress.BDI
-	// FPC is Frequent Pattern Compression.
-	FPC = compress.FPC
-	// CPack is C-Pack.
-	CPack = compress.CPack
-	// DZC is Dynamic Zero Compression.
-	DZC = compress.DZC
-	// BPC is Bit-Plane Compression (§IX related work).
-	BPC = compress.BPC
-	// FVC is a per-block Frequent Value Compression variant (§IX).
-	FVC = compress.FVC
 )
 
 // Workload modeling.
@@ -121,25 +100,18 @@ type (
 	Phase = workload.Phase
 	// Slot is one position in a loop body.
 	Slot = workload.Slot
-	// ValueClass describes a region's value population (compressibility).
-	ValueClass = workload.Class
 )
 
 // Value classes for custom workloads.
 const (
-	ClassZeros   = workload.ClassZeros
-	ClassNarrow  = workload.ClassNarrow
-	ClassText    = workload.ClassText
-	ClassPointer = workload.ClassPointer
-	ClassRandom  = workload.ClassRandom
+	ClassZeros  = workload.ClassZeros
+	ClassNarrow = workload.ClassNarrow
 )
 
 // Access patterns and slot kinds for custom workloads.
 const (
-	PatSeq    = workload.PatSeq
-	PatStride = workload.PatStride
-	PatHot    = workload.PatHot
-	PatRand   = workload.PatRand
+	PatSeq = workload.PatSeq
+	PatHot = workload.PatHot
 
 	Arith = workload.Arith
 	Load  = workload.Load
@@ -150,15 +122,6 @@ const (
 type (
 	// PowerTrace is an ambient power trace (one sample per 10µs).
 	PowerTrace = powertrace.Trace
-)
-
-// NVM technologies (§VIII-H12).
-type NVMKind = nvm.Kind
-
-const (
-	ReRAM  = nvm.ReRAM
-	PCM    = nvm.PCM
-	STTRAM = nvm.STTRAM
 )
 
 // Experiment harness.
@@ -183,32 +146,15 @@ type (
 	// RunSpec is the JSON description of one run (HTTP body, kagura-sim
 	// -json).
 	RunSpec = simsvc.RunSpec
-	// RunJob is one scheduled simulation.
-	RunJob = simsvc.Job
-	// JobStatus is a job's wire-level snapshot.
-	JobStatus = simsvc.JobStatus
 	// RunResult is the JSON result schema shared by the HTTP API and
 	// kagura-sim -json.
 	RunResult = simsvc.RunResult
 	// RunComparison relates a run to its compressor-free baseline.
 	RunComparison = simsvc.Comparison
-	// ServiceMetrics is a snapshot of the service counters.
-	ServiceMetrics = simsvc.MetricsSnapshot
 	// ForkPoint warm-starts a batch from a shared checkpointed prefix
 	// (SimService.SubmitBatchFork, POST /v1/batch forkPoint field).
 	ForkPoint = simsvc.ForkPoint
-	// ServiceErrorCode is the machine-readable error taxonomy carried in the
-	// `code` field of /v1 error responses and kagura_errors_total{code}.
-	ServiceErrorCode = simsvc.ErrorCode
-	// TraceSpan is one phase interval of a job's trace (JobStatus.Trace):
-	// queued/coalesced/cached/warmstart/compute/backoff, contiguous, summing
-	// to the job's wall time.
-	TraceSpan = obs.Span
 )
-
-// ClassifyServiceError maps any service error to its taxonomy code
-// (DESIGN.md §10.3).
-func ClassifyServiceError(err error) ServiceErrorCode { return simsvc.Classify(err) }
 
 // DefaultConfig returns the paper's Table I system for an app and trace:
 // 256B 2-way I/D caches with 32B blocks, 4.7µF capacitor, 16MB ReRAM,
@@ -223,13 +169,6 @@ func DefaultController() ControllerConfig { return kagura.DefaultConfig() }
 
 // Run executes one simulation to completion.
 func Run(cfg SimConfig) (*Result, error) { return ehs.Run(cfg) }
-
-// RunContext executes one simulation to completion, honoring cancellation:
-// the simulator observes ctx at power-cycle boundaries and every few thousand
-// instructions.
-func RunContext(ctx context.Context, cfg SimConfig) (*Result, error) {
-	return ehs.RunContext(ctx, cfg)
-}
 
 // NewService creates a simulation service (see cmd/kagura-serve for the HTTP
 // frontend). Close it when done.
@@ -259,8 +198,6 @@ type (
 	CampaignReport = campaign.Report
 	// CampaignPoint is one evaluated point of a campaign report.
 	CampaignPoint = campaign.PointReport
-	// CampaignPointMetrics is the per-point metric slice a report keeps.
-	CampaignPointMetrics = campaign.PointMetrics
 	// CampaignManager tracks asynchronously-running campaigns (the HTTP API).
 	CampaignManager = campaign.Manager
 	// CampaignStatus is a campaign's wire-level snapshot.
@@ -301,18 +238,11 @@ func CampaignHandler(m *CampaignManager, base http.Handler) http.Handler {
 	return campaign.NewHandler(m, base)
 }
 
-// ConfigKey returns the content-addressed cache key of a configuration: a
-// canonical hash over every behavior-determining input.
-func ConfigKey(cfg SimConfig) string { return simsvc.ConfigKey(cfg) }
-
 // NewRunResult packages a raw simulation result in the service's wire schema
 // (kagura-sim -json uses this to match the HTTP API byte-for-byte).
 func NewRunResult(spec *RunSpec, key string, cached bool, res *Result) *RunResult {
 	return simsvc.NewRunResult(spec, key, cached, res)
 }
-
-// NewOracle creates an empty oracle for ideal-compressor studies.
-func NewOracle() *Oracle { return ehs.NewOracle() }
 
 // Workload returns one of the 20 evaluation applications at the given length
 // scale (1.0 ≈ 600k instructions).
@@ -328,9 +258,6 @@ func Workloads() []string { return workload.Names() }
 // consumes the same format).
 func WorkloadFromJSON(r io.Reader) (*App, error) { return workload.FromJSON(r) }
 
-// Suite returns all 20 applications at the given scale.
-func Suite(scale float64) []*App { return workload.Suite(scale) }
-
 // Trace returns a built-in ambient power trace ("RFHome", "Solar",
 // "Thermal") synthesized from the given seed.
 func Trace(name string, seed uint64) (*PowerTrace, error) {
@@ -343,18 +270,8 @@ func Compressor(name string) (Codec, error) { return compress.ByName(name) }
 // Compressors lists the codec names of the paper's Fig 23 study.
 func Compressors() []string { return compress.Names() }
 
-// CompressorsExtended returns every implemented codec, including the §IX
-// related compressors (BPC, FVC).
-func CompressorsExtended() []Codec { return compress.Extended() }
-
 // NewLab creates an experiment lab backed by its own simulation service.
 func NewLab(opts LabOptions) *Lab { return experiments.New(opts) }
-
-// NewLabWithService creates a lab that shares an existing simulation
-// service's worker pool and result cache.
-func NewLabWithService(svc *SimService, opts LabOptions) *Lab {
-	return experiments.NewWithService(svc, opts)
-}
 
 // DefaultOptions returns full-fidelity experiment options (all apps, three
 // trace seeds, full-length workloads).
