@@ -21,9 +21,9 @@
 //
 // Observability:
 //
-//   - -log-json emits structured JSON job-lifecycle events (submit, retry,
-//     finish — each carrying the job ID, cache key, taxonomy error code, and
-//     attempt count) on stderr. Off by default; the nil-logger fast path
+//   - -log-json emits structured JSON job-lifecycle events (submit, reject,
+//     finish — each carrying the job ID, cache key, state, and taxonomy
+//     error code) on stderr. Off by default; the nil-logger fast path
 //     costs one pointer check per event.
 //   - -ops-addr starts a second listener serving net/http/pprof under
 //     /debug/pprof/. It is separate from -addr so profiling is never exposed

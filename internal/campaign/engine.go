@@ -13,12 +13,6 @@ import (
 	"kagura/internal/simsvc"
 )
 
-// maxDispatchRetries bounds how often one wave chunk is re-dispatched after a
-// transient submission failure (injected faults, a momentarily full queue).
-// Re-dispatching is idempotent: the content-addressed cache coalesces any
-// spec already in flight, so a retry never double-computes.
-const maxDispatchRetries = 64
-
 // Runner executes campaigns against a simulation service. Met may be nil
 // (every Metrics method is nil-safe); Progress, when set, receives one call
 // per dispatched point as its job enters the service — the live-status hook
@@ -186,7 +180,7 @@ func (r *Runner) run(ctx context.Context, spec *Spec) (*Report, error) {
 
 // runWave dispatches one wave in BatchSize chunks and lands every result in
 // its indexed slot. Shared by the live walk and the resume fast-forward so
-// Progress callbacks, retries, and result placement behave identically on
+// Progress callbacks, backpressure, and result placement behave identically on
 // both paths.
 func (r *Runner) runWave(ctx context.Context, spec *Spec, space *space, round int, wave []int, results *resultSet, rounds []int) error {
 	specs := make([]simsvc.RunSpec, len(wave))
@@ -307,60 +301,53 @@ func (r *Runner) journalDone() {
 }
 
 // runPoints dispatches one chunk of specs as a fork-batch and waits for every
-// job in index order. Transient dispatch failures — injected faults at
-// campaign.dispatch, a full queue, the load-shedding breaker — retry the
-// whole chunk (bounded); the result cache coalesces duplicates, so retried
-// chunks settle to the same results a clean dispatch produces.
+// job in index order. The one backpressure rule: when the service refuses a
+// spec for lack of queue room (queue_full, overloaded), the jobs already
+// scheduled stay, the runner waits for the oldest of them to settle, and it
+// submits the rest of the chunk. A refusal while none of the chunk's jobs is
+// in flight is load from other clients, and fails the campaign. Every other
+// failure, a recovered panic or an injected fault included, fails the point
+// at once: the simulator is a pure function and would fail the same way
+// again, and the journal keeps a failed campaign resumable.
 func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs []simsvc.RunSpec, fork *simsvc.ForkPoint) ([]*ehs.Result, error) {
-	var jobs []*simsvc.Job
-	for attempt := 0; ; attempt++ {
+	jobs := make([]*simsvc.Job, 0, len(specs))
+	out := make([]*ehs.Result, len(specs))
+	settled := 0 // jobs[:settled] have their results in out
+	wait := func() error {
+		res, err := jobs[settled].Wait(ctx)
+		if err != nil {
+			return fmt.Errorf("campaign: point %d: %w", indices[settled], err)
+		}
+		out[settled] = res
+		settled++
+		return nil
+	}
+	for len(jobs) < len(specs) {
 		err := faultinject.CampaignDispatch.Fire(ctx)
 		if err == nil {
-			jobs, err = r.Svc.SubmitBatchFork(specs, fork)
-			if err == nil {
-				break
+			var more []*simsvc.Job
+			more, err = r.Svc.SubmitBatchFork(specs[len(jobs):], fork)
+			for _, job := range more {
+				if r.Progress != nil {
+					r.Progress(round, indices[len(jobs)], job.ID())
+				}
+				jobs = append(jobs, job)
 			}
 		}
-		if attempt >= maxDispatchRetries || !transient(err) {
+		if err == nil {
+			break
+		}
+		if code := simsvc.Classify(err); (code != simsvc.CodeQueueFull && code != simsvc.CodeOverloaded) || settled == len(jobs) {
 			return nil, fmt.Errorf("campaign: dispatch: %w", err)
 		}
-		r.Met.dispatchRetried()
-	}
-	if r.Progress != nil {
-		for i, job := range jobs {
-			r.Progress(round, indices[i], job.ID())
+		if err := wait(); err != nil {
+			return nil, err
 		}
 	}
-	out := make([]*ehs.Result, len(jobs))
-	for i, job := range jobs {
-		res, err := job.Wait(ctx)
-		for attempt := 0; err != nil && attempt < maxDispatchRetries && transient(err); attempt++ {
-			// The job's own retry budget is exhausted; resubmit the point
-			// (through the same fork, so it keeps its cache identity). A
-			// completed twin serves from the cache, an in-flight twin coalesces.
-			r.Met.dispatchRetried()
-			var twins []*simsvc.Job
-			twins, err = r.Svc.SubmitBatchFork(specs[i:i+1], fork)
-			if err != nil {
-				continue
-			}
-			res, err = twins[0].Wait(ctx)
+	for settled < len(jobs) {
+		if err := wait(); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return nil, fmt.Errorf("campaign: point %d: %w", indices[i], err)
-		}
-		out[i] = res
 	}
 	return out, nil
-}
-
-// transient reports whether a dispatch or job failure is worth retrying:
-// queue pressure, load shedding, and injected faults settle; validation and
-// deterministic simulation failures do not.
-func transient(err error) bool {
-	switch simsvc.Classify(err) {
-	case simsvc.CodeQueueFull, simsvc.CodeOverloaded, simsvc.CodeFaultInjected, simsvc.CodePanic:
-		return true
-	}
-	return false
 }

@@ -11,16 +11,15 @@ import (
 // exposition families (typed values of the obs catalog). Every method is nil-safe so the
 // Runner works without metrics wired.
 type Metrics struct {
-	mu              sync.Mutex
-	completed       int64
-	failed          int64
-	running         int64
-	points          int64
-	rounds          int64
-	dispatchRetries int64
-	exportsJSON     int64
-	exportsCSV      int64
-	resumed         int64
+	mu          sync.Mutex
+	completed   int64
+	failed      int64
+	running     int64
+	points      int64
+	rounds      int64
+	exportsJSON int64
+	exportsCSV  int64
+	resumed     int64
 }
 
 func (m *Metrics) campaignStarted() {
@@ -75,15 +74,6 @@ func (m *Metrics) roundFinished() {
 	m.mu.Unlock()
 }
 
-func (m *Metrics) dispatchRetried() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.dispatchRetries++
-	m.mu.Unlock()
-}
-
 // campaignResumed books one campaign relaunched from the crash journal.
 func (m *Metrics) campaignResumed() {
 	if m == nil {
@@ -115,7 +105,6 @@ type MetricsSnapshot struct {
 	Running         int64 `json:"running"`
 	PointsSubmitted int64 `json:"pointsSubmitted"`
 	Rounds          int64 `json:"rounds"`
-	DispatchRetries int64 `json:"dispatchRetries"`
 	ExportsJSON     int64 `json:"exportsJSON"`
 	ExportsCSV      int64 `json:"exportsCSV"`
 	Resumed         int64 `json:"resumed"`
@@ -134,7 +123,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Running:         m.running,
 		PointsSubmitted: m.points,
 		Rounds:          m.rounds,
-		DispatchRetries: m.dispatchRetries,
 		ExportsJSON:     m.exportsJSON,
 		ExportsCSV:      m.exportsCSV,
 		Resumed:         m.resumed,
@@ -152,7 +140,6 @@ func (s MetricsSnapshot) Prometheus() string {
 	obs.MetricCampaignRunning.Single(&b, s.Running)
 	obs.MetricCampaignPointsSubmitted.Single(&b, s.PointsSubmitted)
 	obs.MetricCampaignRoundsTotal.Single(&b, s.Rounds)
-	obs.MetricCampaignDispatchRetries.Single(&b, s.DispatchRetries)
 	obs.MetricCampaignExportsTotal.Header(&b)
 	obs.MetricCampaignExportsTotal.Sample(&b, `format="json"`, s.ExportsJSON)
 	obs.MetricCampaignExportsTotal.Sample(&b, `format="csv"`, s.ExportsCSV)

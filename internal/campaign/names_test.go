@@ -52,7 +52,7 @@ func TestCampaignExpositionMatchesCatalog(t *testing.T) {
 func TestCampaignPrometheusByteStable(t *testing.T) {
 	snap := MetricsSnapshot{
 		Completed: 3, Failed: 1, Running: 2,
-		PointsSubmitted: 64, Rounds: 5, DispatchRetries: 7,
+		PointsSubmitted: 64, Rounds: 5,
 		ExportsJSON: 4, ExportsCSV: 2,
 	}
 	first := snap.Prometheus()
@@ -67,7 +67,6 @@ func TestCampaignPrometheusByteStable(t *testing.T) {
 		"kagura_campaign_running 2",
 		"kagura_campaign_points_submitted_total 64",
 		"kagura_campaign_rounds_total 5",
-		"kagura_campaign_dispatch_retries_total 7",
 		`kagura_campaign_exports_total{format="json"} 4`,
 		`kagura_campaign_exports_total{format="csv"} 2`,
 	} {
@@ -86,7 +85,7 @@ func TestCampaignPrometheusByteStable(t *testing.T) {
 func TestCampaignPrometheusGolden(t *testing.T) {
 	snap := MetricsSnapshot{
 		Completed: 1, Failed: 2, Running: 3, PointsSubmitted: 4, Rounds: 5,
-		DispatchRetries: 6, ExportsJSON: 7, ExportsCSV: 8, Resumed: 9,
+		ExportsJSON: 7, ExportsCSV: 8, Resumed: 9,
 	}
 	want, err := os.ReadFile("testdata/metrics.prom")
 	if err != nil {

@@ -53,7 +53,10 @@ func Encode(snap *ehs.Snapshot) ([]byte, error) {
 	if len(snap.ConfigHash) > maxHashLen {
 		return nil, fmt.Errorf("ckpt: config hash is %d bytes, limit %d", len(snap.ConfigHash), maxHashLen)
 	}
-	w := &frame.Writer{Buf: make([]byte, 0, 1<<16)}
+	// Start empty and let append size the buffer: a fixed large start would
+	// come back with its whole capacity, and a warm snapshot waiting in the
+	// store-publish queue would pin it.
+	w := &frame.Writer{}
 	w.Header(Magic, Version)
 	w.Str(snap.ConfigHash)
 

@@ -63,6 +63,19 @@ func testSnapshot(t testing.TB, app string, cycle int64) (*ehs.Snapshot, ehs.Con
 	return snap, cfg
 }
 
+// TestEncodeFitsItsBytes: an encoding's capacity stays within twice its
+// length, so a small snapshot held in a queue does not pin a large buffer.
+func TestEncodeFitsItsBytes(t *testing.T) {
+	snap, _ := testSnapshot(t, "jpeg", 20_000)
+	blob, err := Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(blob) > 2*len(blob) {
+		t.Fatalf("Encode returned len %d with cap %d, want cap <= %d", len(blob), cap(blob), 2*len(blob))
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	snap, _ := testSnapshot(t, "jpeg", midCycle(t, "jpeg"))
 	data, err := Encode(snap)

@@ -29,8 +29,8 @@
 //
 // The fault kinds:
 //
-//   - KindError: Fire returns an *InjectedError (Temporary() == true, so the
-//     service retry policy treats it as transient).
+//   - KindError: Fire returns an *InjectedError, which the service
+//     classifies as fault_injected; the job or request fails at once.
 //   - KindPanic: Fire panics with a PanicValue — exercises recover paths.
 //   - KindLatency: Fire blocks for the rule's duration or until ctx is
 //     canceled — exercises timeout, cancellation, and eviction races.
@@ -115,10 +115,6 @@ func (e *InjectedError) Error() string {
 	}
 	return fmt.Sprintf("faultinject: injected error at %s (occurrence %d)", e.Point, e.Occurrence)
 }
-
-// Temporary marks injected errors as transient, so retry policies built on
-// an `interface{ Temporary() bool }` check treat them as retryable.
-func (e *InjectedError) Temporary() bool { return true }
 
 // PanicValue is the value an armed KindPanic rule panics with, so recover
 // sites can distinguish injected panics from real ones in assertions.

@@ -65,9 +65,6 @@ func TestNthTrigger(t *testing.T) {
 			if inj.Point != "test.nth" || inj.Occurrence != 3 {
 				t.Fatalf("injected error %+v", inj)
 			}
-			if !inj.Temporary() {
-				t.Fatal("injected errors must be Temporary")
-			}
 		}
 	}
 	if got := ptNth.Fires(); got != 1 {

@@ -12,9 +12,9 @@ var (
 	// rejected or corrupted spec upload.
 	CampaignDecode = newPoint("campaign.decode")
 	// CampaignDispatch fires before each campaign batch submission to simsvc.
-	// Injected errors are transient, so the engine retries the batch; the
-	// content-addressed cache coalesces any duplicate submissions, which is
-	// what keeps the settled report byte-identical to a fault-free run.
+	// An injected error fails the campaign at once; its journal records keep
+	// it resumable, and the resumed report is byte-identical to a fault-free
+	// run.
 	CampaignDispatch = newPoint("campaign.dispatch")
 	// CampaignExport fires at the top of report export (error-only): a failed
 	// report write surfaces to the caller instead of emitting a torn file.
@@ -50,8 +50,9 @@ var (
 	// SimsvcCoalesce fires when a submission coalesces onto an in-flight twin
 	// (error-only: evaluated under the service mutex).
 	SimsvcCoalesce = newPoint("simsvc.coalesce")
-	// SimsvcCompute fires at the start of every compute attempt (error,
-	// panic, or latency faults exercise retry, recover, and timeout paths).
+	// SimsvcCompute fires at the start of every job compute (error, panic,
+	// or latency faults exercise the settle-at-once, recover, and timeout
+	// paths).
 	SimsvcCompute = newPoint("simsvc.compute")
 	// SimsvcHTTPBody fires while decoding a request body (latency simulates
 	// a slow client, error an aborted body).

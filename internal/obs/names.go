@@ -77,9 +77,8 @@ var (
 	MetricWarmCyclesSavedTotal = counter("kagura_warm_cycles_saved_total", "Simulated cycles skipped by warm-start reuse.")
 	MetricWarmSnapshotBytes    = histogram("kagura_warm_snapshot_bytes", "Encoded size of each warm-start snapshot.")
 
-	// Resilience: retries, shedding, degradation, classified errors.
+	// Resilience: recovered panics, shedding, degradation, classified errors.
 	MetricPanicsRecoveredTotal = counter("kagura_panics_recovered_total", "Compute panics recovered by workers.")
-	MetricJobsRetriedTotal     = counter("kagura_jobs_retried_total", "Retry attempts after transient failures.")
 	MetricJobsShedTotal        = counter("kagura_jobs_shed_total", "Submissions rejected by the load-shedding breaker.")
 	MetricDegradedRuns         = counter("kagura_degraded_runs", "Warm starts degraded to cold runs.")
 	MetricShedding             = gauge("kagura_shedding", "Load-shedding breaker state (1 = open).")
@@ -124,7 +123,6 @@ var (
 	MetricCampaignRunning         = gauge("kagura_campaign_running", "Campaigns currently executing.")
 	MetricCampaignPointsSubmitted = counter("kagura_campaign_points_submitted_total", "Sweep points dispatched to the simulation service.")
 	MetricCampaignRoundsTotal     = counter("kagura_campaign_rounds_total", "Strategy waves executed.")
-	MetricCampaignDispatchRetries = counter("kagura_campaign_dispatch_retries_total", "Batch dispatches retried after transient failures.")
 	MetricCampaignExportsTotal    = counter("kagura_campaign_exports_total", "Report exports served, by format.")
 	MetricCampaignResumedTotal    = counter("kagura_campaign_resumed_total", "Campaigns relaunched from the crash journal.")
 )

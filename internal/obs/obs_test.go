@@ -18,24 +18,24 @@ func at(ms int) time.Time {
 func TestTraceContiguousSpans(t *testing.T) {
 	tr := NewTrace(at(0))
 	tr.Begin(PhaseQueued, at(0))
-	tr.BeginAttempt(1, PhaseCompute, at(10))
-	tr.Begin(PhaseBackoff, at(30))
-	tr.BeginAttempt(2, PhaseCompute, at(50))
+	tr.Begin(PhaseStore, at(10))
+	tr.Begin(PhaseWarmStart, at(30))
+	tr.Begin(PhaseCompute, at(50))
 	tr.End(at(90))
 
 	spans := tr.Spans(at(90))
 	want := []Span{
-		{Phase: PhaseQueued, Attempt: 0, StartSeconds: 0, Seconds: 0.010},
-		{Phase: PhaseCompute, Attempt: 1, StartSeconds: 0.010, Seconds: 0.020},
-		{Phase: PhaseBackoff, Attempt: 1, StartSeconds: 0.030, Seconds: 0.020},
-		{Phase: PhaseCompute, Attempt: 2, StartSeconds: 0.050, Seconds: 0.040},
+		{Phase: PhaseQueued, StartSeconds: 0, Seconds: 0.010},
+		{Phase: PhaseStore, StartSeconds: 0.010, Seconds: 0.020},
+		{Phase: PhaseWarmStart, StartSeconds: 0.030, Seconds: 0.020},
+		{Phase: PhaseCompute, StartSeconds: 0.050, Seconds: 0.040},
 	}
 	if len(spans) != len(want) {
 		t.Fatalf("got %d spans, want %d: %+v", len(spans), len(want), spans)
 	}
 	var sum float64
 	for i, s := range spans {
-		if s.Phase != want[i].Phase || s.Attempt != want[i].Attempt {
+		if s.Phase != want[i].Phase {
 			t.Errorf("span %d = %+v, want %+v", i, s, want[i])
 		}
 		if math.Abs(s.StartSeconds-want[i].StartSeconds) > 1e-9 || math.Abs(s.Seconds-want[i].Seconds) > 1e-9 {
@@ -66,7 +66,7 @@ func TestTraceOpenSpanExtendsToNow(t *testing.T) {
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.Begin(PhaseQueued, at(0))
-	tr.BeginAttempt(1, PhaseCompute, at(1))
+	tr.Begin(PhaseCompute, at(1))
 	tr.End(at(2))
 	if spans := tr.Spans(at(3)); spans != nil {
 		t.Fatalf("nil trace returned spans: %+v", spans)

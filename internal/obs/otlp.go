@@ -43,26 +43,20 @@ func (t *Trace) MarshalOTLP(serviceName, traceID string, now time.Time) ([]byte,
 	for i, s := range spans {
 		start := origin.Add(time.Duration(s.StartSeconds * float64(time.Second)))
 		end := origin.Add(time.Duration((s.StartSeconds + s.Seconds) * float64(time.Second)))
-		sp := otlpSpan{
+		otlpSpans = append(otlpSpans, otlpSpan{
 			TraceID:           tid,
 			SpanID:            otlpSpanID(traceID, i),
 			Name:              s.Phase,
 			Kind:              otlpSpanKindInternal,
 			StartTimeUnixNano: fmt.Sprintf("%d", start.UnixNano()),
 			EndTimeUnixNano:   fmt.Sprintf("%d", end.UnixNano()),
-		}
-		if s.Attempt > 0 {
-			sp.Attributes = []otlpKeyValue{
-				{Key: "kagura.attempt", Value: otlpValue{IntValue: fmt.Sprintf("%d", s.Attempt)}},
-			}
-		}
-		otlpSpans = append(otlpSpans, sp)
+		})
 	}
 	req := otlpExport{
 		ResourceSpans: []otlpResourceSpans{{
 			Resource: otlpResource{
 				Attributes: []otlpKeyValue{
-					{Key: "service.name", Value: otlpValue{StringValue: &serviceName}},
+					{Key: "service.name", Value: otlpValue{StringValue: serviceName}},
 				},
 			},
 			ScopeSpans: []otlpScopeSpans{{
@@ -111,13 +105,12 @@ type otlpScope struct {
 }
 
 type otlpSpan struct {
-	TraceID           string         `json:"traceId"`
-	SpanID            string         `json:"spanId"`
-	Name              string         `json:"name"`
-	Kind              int            `json:"kind"`
-	StartTimeUnixNano string         `json:"startTimeUnixNano"`
-	EndTimeUnixNano   string         `json:"endTimeUnixNano"`
-	Attributes        []otlpKeyValue `json:"attributes,omitempty"`
+	TraceID           string `json:"traceId"`
+	SpanID            string `json:"spanId"`
+	Name              string `json:"name"`
+	Kind              int    `json:"kind"`
+	StartTimeUnixNano string `json:"startTimeUnixNano"`
+	EndTimeUnixNano   string `json:"endTimeUnixNano"`
 }
 
 type otlpKeyValue struct {
@@ -125,9 +118,7 @@ type otlpKeyValue struct {
 	Value otlpValue `json:"value"`
 }
 
-// otlpValue is the OTLP AnyValue: exactly one field set. intValue is a
-// string in OTLP/JSON (protobuf int64 JSON mapping).
+// otlpValue is the OTLP AnyValue, reduced to the one variant emitted here.
 type otlpValue struct {
-	StringValue *string `json:"stringValue,omitempty"`
-	IntValue    string  `json:"intValue,omitempty"`
+	StringValue string `json:"stringValue"`
 }

@@ -14,7 +14,7 @@ func otlpTestTrace(origin time.Time) *Trace {
 	tr := NewTrace(origin)
 	tr.Begin(PhaseQueued, origin)
 	tr.Begin(PhaseStore, origin.Add(1*time.Second))
-	tr.BeginAttempt(1, PhaseCompute, origin.Add(2*time.Second))
+	tr.Begin(PhaseCompute, origin.Add(2*time.Second))
 	tr.End(origin.Add(5 * time.Second))
 	return tr
 }
@@ -113,17 +113,16 @@ func TestMarshalOTLPShape(t *testing.T) {
 			t.Errorf("span[%d] ends before it starts", i)
 		}
 	}
-	// The last span covers seconds 2..5 and carries the attempt attribute.
+	// The last span covers seconds 2..5.
 	last := spans[2]
 	if got := origin.Add(5 * time.Second).UnixNano(); last.EndTimeUnixNano != strconv.FormatInt(got, 10) {
 		t.Errorf("compute span end = %s, want %d", last.EndTimeUnixNano, got)
 	}
-	if len(last.Attributes) != 1 || last.Attributes[0].Key != "kagura.attempt" || last.Attributes[0].Value.IntValue != "1" {
-		t.Errorf("compute span attributes = %+v, want kagura.attempt=1", last.Attributes)
-	}
-	// Phases outside any attempt carry no attempt attribute.
-	if len(spans[0].Attributes) != 0 {
-		t.Errorf("queued span attributes = %+v, want none", spans[0].Attributes)
+	// A job computes at most once, so no span carries attributes.
+	for i, sp := range spans {
+		if len(sp.Attributes) != 0 {
+			t.Errorf("span[%d] attributes = %+v, want none", i, sp.Attributes)
+		}
 	}
 }
 

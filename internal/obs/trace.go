@@ -31,10 +31,8 @@ const (
 	PhaseWarmStart = "warmstart"
 	// PhaseStore: probing the persistent on-disk store before computing.
 	PhaseStore = "store"
-	// PhaseCompute: executing the simulation (one span per attempt).
+	// PhaseCompute: executing the simulation.
 	PhaseCompute = "compute"
-	// PhaseBackoff: waiting out the retry backoff after a transient failure.
-	PhaseBackoff = "backoff"
 )
 
 // Span is one closed phase interval of a job trace, in seconds relative to
@@ -42,9 +40,6 @@ const (
 type Span struct {
 	// Phase is one of the Phase* constants.
 	Phase string `json:"phase"`
-	// Attempt is the 1-based compute attempt the span belongs to; 0 for
-	// phases outside any attempt (queued, coalesced, cached).
-	Attempt int `json:"attempt,omitempty"`
 	// StartSeconds is the span's offset from the trace origin.
 	StartSeconds float64 `json:"startSeconds"`
 	// Seconds is the span's duration.
@@ -55,7 +50,6 @@ type Span struct {
 // only when snapshotted.
 type span struct {
 	phase      string
-	attempt    int
 	start, end time.Time
 }
 
@@ -65,12 +59,11 @@ type span struct {
 // closes the open span at the same instant it opens the next — so the sum of
 // span durations equals last-end minus origin exactly.
 type Trace struct {
-	mu      sync.Mutex
-	origin  time.Time
-	closed  []span
-	open    bool
-	cur     span
-	attempt int
+	mu     sync.Mutex
+	origin time.Time
+	closed []span
+	open   bool
+	cur    span
 }
 
 // NewTrace starts an empty trace with the given origin (the job's creation
@@ -80,35 +73,19 @@ func NewTrace(origin time.Time) *Trace {
 }
 
 // Begin closes the open span (if any) at now and opens a new one in the
-// given phase, stamped with the current attempt number.
+// given phase.
 func (t *Trace) Begin(phase string, now time.Time) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.beginLocked(phase, now)
-	t.mu.Unlock()
-}
-
-// BeginAttempt sets the current attempt number and begins a span — the
-// worker's entry point for each compute attempt.
-func (t *Trace) BeginAttempt(attempt int, phase string, now time.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.attempt = attempt
-	t.beginLocked(phase, now)
-	t.mu.Unlock()
-}
-
-func (t *Trace) beginLocked(phase string, now time.Time) {
 	if t.open {
 		t.cur.end = now
 		t.closed = append(t.closed, t.cur)
 	}
-	t.cur = span{phase: phase, attempt: t.attempt, start: now}
+	t.cur = span{phase: phase, start: now}
 	t.open = true
+	t.mu.Unlock()
 }
 
 // End closes the open span at now. A trace with no open span is unchanged.
@@ -149,7 +126,6 @@ func (t *Trace) Spans(now time.Time) []Span {
 func (t *Trace) wire(s span) Span {
 	return Span{
 		Phase:        s.phase,
-		Attempt:      s.attempt,
 		StartSeconds: s.start.Sub(t.origin).Seconds(),
 		Seconds:      s.end.Sub(s.start).Seconds(),
 	}

@@ -12,15 +12,15 @@ import (
 	"kagura/internal/obs"
 )
 
-// chaosPlan is the soak's fault mix: transient compute errors and panics
-// (exercising retry and recover), compute latency (exercising coalescing
+// chaosPlan is the soak's fault mix: compute errors and panics (exercising
+// settle-at-once failure and the recover shield), compute latency (exercising coalescing
 // under slow owners), cache-insert and coalesce faults, and the full
 // warm-start gauntlet (owner failure, fork failure, premature eviction).
 func chaosPlan(seed uint64) faultinject.Plan {
 	return faultinject.Plan{Seed: seed, Rules: []faultinject.Rule{
 		{Point: "simsvc.compute", Kind: faultinject.KindError, Probability: 0.15, Message: "chaos: transient compute"},
 		// Nth, not a low-probability coin: every seed is guaranteed to crash
-		// the third compute attempt, so the soak always exercises the worker's
+		// the third compute, so the soak always exercises the worker's
 		// recover shield (a coin left it unexercised and masked an escape).
 		{Point: "simsvc.compute", Kind: faultinject.KindPanic, Nth: 3, Message: "chaos: compute crash"},
 		{Point: "simsvc.compute", Kind: faultinject.KindLatency, Probability: 0.10, LatencyMicros: 2_000},
@@ -109,8 +109,11 @@ func TestSoakSpecsAreDistinct(t *testing.T) {
 // no lost jobs, no panic escaping a worker — and (b) results the chaotic run
 // produced for plain jobs are byte-identical to a fault-free service's, i.e.
 // injected faults may fail or delay jobs but can never corrupt a cached
-// result. Forked jobs may legitimately degrade to cold runs, so for them the
-// soak asserts settlement and leaves identity to
+// result. A failed compute settles its job at once — there are no retries —
+// so under the plan many jobs fail; every failure must carry a taxonomy code,
+// and the plan must provably have fired (a recovered panic and at least one
+// fault_injected settle). Forked jobs may legitimately degrade to cold runs,
+// so for them the soak asserts settlement and leaves identity to
 // TestCorruptWarmSnapshotDegradesToCold.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
@@ -128,13 +131,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			t.Cleanup(faultinject.Disable)
 
-			svc := newTestService(t, Options{
-				Workers: 8, QueueDepth: 4096,
-				RetryMax:       3,
-				RetryBaseDelay: time.Millisecond,
-				RetryMaxDelay:  8 * time.Millisecond,
-				RetrySeed:      seed,
-			})
+			svc := newTestService(t, Options{Workers: 8, QueueDepth: 4096})
 
 			specs := soakSpecs(plainJobs)
 			var jobs []*Job
@@ -179,9 +176,9 @@ func TestChaosSoak(t *testing.T) {
 					t.Fatalf("job %d did not settle before the deadline (deadlock?)", i)
 				}
 				if err != nil {
-					// A job may exhaust its retries under a hostile plan; that is
-					// a settled failure, not a soak violation — but it must carry
-					// a taxonomy code.
+					// A job may fail under a hostile plan; that is a settled
+					// failure, not a soak violation — but it must carry a
+					// taxonomy code.
 					if code := Classify(err); code == "" || code == CodeInternal {
 						t.Fatalf("job %d failed outside the taxonomy: %v", i, err)
 					}
@@ -217,7 +214,7 @@ func TestChaosSoak(t *testing.T) {
 				}
 				cj, ok := chaotic[job.Key()]
 				if !ok {
-					continue // the chaotic twin exhausted its retries
+					continue // every chaotic job of this spec failed
 				}
 				got, _ := cj.Wait(ctx)
 				gb, err := json.Marshal(got)
@@ -234,11 +231,14 @@ func TestChaosSoak(t *testing.T) {
 			}
 
 			m := svc.Metrics()
-			t.Logf("seed %d: run=%d cached=%d failed=%d retried=%d panics=%d degraded=%d coalesce_rejected=%d errors=%v",
-				seed, m.JobsRun, m.JobsCached, m.JobsFailed, m.JobsRetried,
-				m.PanicsRecovered, m.DegradedRuns, rejected, m.Errors)
-			if m.JobsRetried == 0 {
-				t.Error("the chaos plan never fired a compute fault; the soak exercised nothing")
+			t.Logf("seed %d: run=%d cached=%d failed=%d panics=%d degraded=%d coalesce_rejected=%d identical=%d errors=%v",
+				seed, m.JobsRun, m.JobsCached, m.JobsFailed,
+				m.PanicsRecovered, m.DegradedRuns, rejected, len(chaotic), m.Errors)
+			if len(chaotic) == 0 {
+				t.Error("no plain job succeeded; the identity check compared nothing")
+			}
+			if m.Errors[string(CodeFaultInjected)] == 0 {
+				t.Error("no job settled as fault_injected; the chaos plan never fired a compute fault")
 			}
 			if m.PanicsRecovered == 0 {
 				t.Error("no panic was recovered; the nth-occurrence crash rule never fired")
@@ -258,10 +258,7 @@ func TestChaosSoakDeterministicFires(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer faultinject.Disable()
-		svc := newTestService(t, Options{
-			Workers: 1, QueueDepth: 1024,
-			RetryMax: 2, RetryBaseDelay: time.Millisecond, RetryMaxDelay: time.Millisecond,
-		})
+		svc := newTestService(t, Options{Workers: 1, QueueDepth: 1024})
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		for _, spec := range soakSpecs(10) {
@@ -294,10 +291,7 @@ func TestServiceCloseUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(faultinject.Disable)
-	svc := New(Options{
-		Workers: 4, QueueDepth: 256,
-		RetryMax: 3, RetryBaseDelay: 50 * time.Millisecond, RetryMaxDelay: time.Second,
-	})
+	svc := New(Options{Workers: 4, QueueDepth: 256})
 	var jobs []*Job
 	var rejected int64
 	for _, spec := range soakSpecs(12) {

@@ -53,7 +53,6 @@ type metrics struct {
 
 	// Resilience counters.
 	panicsRecovered int64 // compute panics caught by a worker
-	jobsRetried     int64 // retry attempts after transient failures
 	jobsShed        int64 // submissions rejected by the load-shedding breaker
 	degradedRuns    int64 // warm starts downgraded to cold runs
 	// errorsByCode tallies terminal and rejection errors by taxonomy code.
@@ -124,11 +123,10 @@ type MetricsSnapshot struct {
 	RunSecondsTotal   float64 `json:"runSecondsTotal"`
 	RunSamples        int64   `json:"runSamples"`
 
-	// Resilience: recovered compute panics, retry attempts, shed
-	// submissions, warm starts degraded to cold runs, the breaker state, and
-	// error totals keyed by taxonomy code (only non-zero codes appear).
+	// Resilience: recovered compute panics, shed submissions, warm starts
+	// degraded to cold runs, the breaker state, and error totals keyed by
+	// taxonomy code (only non-zero codes appear).
 	PanicsRecovered int64            `json:"panicsRecovered"`
-	JobsRetried     int64            `json:"jobsRetried"`
 	JobsShed        int64            `json:"jobsShed"`
 	DegradedRuns    int64            `json:"degradedRuns"`
 	Shedding        bool             `json:"shedding"`
@@ -199,7 +197,6 @@ func (s *Service) Metrics() MetricsSnapshot {
 		WarmSnapshots:     s.met.cachedSnapshots,
 		WarmCyclesSaved:   s.met.warmCyclesSaved,
 		PanicsRecovered:   s.met.panicsRecovered,
-		JobsRetried:       s.met.jobsRetried,
 		JobsShed:          s.met.jobsShed,
 		DegradedRuns:      s.met.degradedRuns,
 		Shedding:          s.shedding,
@@ -262,7 +259,6 @@ func (m MetricsSnapshot) Prometheus() string {
 	obs.MetricWarmSnapshots.Single(&b, m.WarmSnapshots)
 	obs.MetricWarmCyclesSavedTotal.Single(&b, m.WarmCyclesSaved)
 	obs.MetricPanicsRecoveredTotal.Single(&b, m.PanicsRecovered)
-	obs.MetricJobsRetriedTotal.Single(&b, m.JobsRetried)
 	obs.MetricJobsShedTotal.Single(&b, m.JobsShed)
 	obs.MetricDegradedRuns.Single(&b, m.DegradedRuns)
 	obs.MetricShedding.Single(&b, oneIf(m.Shedding))

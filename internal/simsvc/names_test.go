@@ -67,7 +67,7 @@ func goldenSnapshot() MetricsSnapshot {
 		QueueDepth: 5, Workers: 6, CachedKeys: 7,
 		WarmStartHits: 8, WarmStartMisses: 9, WarmSnapshots: 10, WarmCyclesSaved: 11,
 		QueueSecondsTotal: 0.125, QueueSamples: 12, RunSecondsTotal: 2.5, RunSamples: 13,
-		PanicsRecovered: 14, JobsRetried: 15, JobsShed: 16, DegradedRuns: 17,
+		PanicsRecovered: 14, JobsShed: 16, DegradedRuns: 17,
 		Shedding:   true,
 		Errors:     map[string]int64{string(CodeTimeout): 18},
 		CacheBytes: 19, CacheCapacity: 20, CacheEvictions: 21,

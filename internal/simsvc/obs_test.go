@@ -240,25 +240,24 @@ func TestJobTraceSpanSumMatchesWallTime(t *testing.T) {
 	}
 }
 
-// TestTracePhasesAcrossRetries pins the exact phase/attempt sequence of a job
-// that fails once and succeeds on retry.
-func TestTracePhasesAcrossRetries(t *testing.T) {
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 2}))
-	var attempts atomic.Int64
-	flaky := func(ctx context.Context) (*ehs.Result, error) {
-		if attempts.Add(1) == 1 {
-			return nil, &faultinject.InjectedError{Point: "test", Occurrence: 1}
-		}
-		return &ehs.Result{Completed: true}, nil
+// TestFailedJobTraceIsOneCompute pins the trace of a failed job: it settles
+// at once, so its timeline is one queued span then one compute span, and
+// its compute ran exactly once.
+func TestFailedJobTraceIsOneCompute(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	var calls atomic.Int64
+	failing := func(ctx context.Context) (*ehs.Result, error) {
+		calls.Add(1)
+		return nil, &faultinject.InjectedError{Point: "test", Occurrence: 1}
 	}
-	job, err := svc.submit(nil, "trace-retry", flaky, 0, 0, nil)
+	job, err := svc.submit(nil, "trace-fail", failing, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := job.Wait(ctx); err != nil {
-		t.Fatal(err)
+	if _, err := job.Wait(ctx); Classify(err) != CodeFaultInjected {
+		t.Fatalf("job settled with %v, want a fault_injected failure", err)
 	}
 	st, err := svc.Job(job.ID())
 	if err != nil {
@@ -266,11 +265,14 @@ func TestTracePhasesAcrossRetries(t *testing.T) {
 	}
 	var got []string
 	for _, s := range st.Trace {
-		got = append(got, fmt.Sprintf("%s/%d", s.Phase, s.Attempt))
+		got = append(got, s.Phase)
 	}
-	want := []string{"queued/0", "compute/1", "backoff/1", "compute/2"}
+	want := []string{obs.PhaseQueued, obs.PhaseCompute}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("phase sequence = %v, want %v", got, want)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("compute ran %d times, want 1", n)
 	}
 }
 
@@ -426,7 +428,7 @@ func TestPrometheusExpositionValidates(t *testing.T) {
 }
 
 // TestTracingOverheadSmoke bounds the instrumentation tax: a full per-job
-// trace lifecycle (allocation, the span transitions of a retry-free job, one
+// trace lifecycle (allocation, the span transitions of a computed job, one
 // snapshot) must cost under 2% of even the quickest real job's wall time with
 // logging off. Measured per-operation over many iterations so scheduler noise
 // averages out; the real margin is ~three orders of magnitude.
@@ -437,7 +439,7 @@ func TestTracingOverheadSmoke(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		tr := obs.NewTrace(origin)
 		tr.Begin(obs.PhaseQueued, origin)
-		tr.BeginAttempt(1, obs.PhaseCompute, origin)
+		tr.Begin(obs.PhaseCompute, origin)
 		tr.End(origin)
 		if len(tr.Spans(origin)) != 2 {
 			t.Fatal("unexpected span count")

@@ -101,22 +101,8 @@ func (s *Service) badSpec(err error) error {
 	return &specError{err: err}
 }
 
-// panicError wraps a recovered compute panic. It is retryable: a panic is a
-// crash, and the service's job is to survive crashes.
+// panicError wraps a recovered compute panic. The job settles with it at
+// once: a panic is a crash the worker survives, not a reason to run again.
 type panicError struct{ val any }
 
 func (e *panicError) Error() string { return fmt.Sprintf("simsvc: job panicked: %v", e.val) }
-
-// retryable reports whether a compute failure is worth retrying: recovered
-// panics and transient errors (anything exposing Temporary() true, which
-// includes injected faults). Plain errors — validation failures,
-// deterministic simulation errors — are not retried: the simulator is a pure
-// function, so a deterministic failure fails identically every time.
-func retryable(err error) bool {
-	var pe *panicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	var tmp interface{ Temporary() bool }
-	return errors.As(err, &tmp) && tmp.Temporary()
-}

@@ -28,64 +28,43 @@ func armChaos(t *testing.T, p faultinject.Plan) {
 	t.Cleanup(faultinject.Disable)
 }
 
-// fastRetry returns options with millisecond backoff so retry tests run fast.
-func fastRetry(opts Options) Options {
-	opts.RetryBaseDelay = time.Millisecond
-	opts.RetryMaxDelay = 4 * time.Millisecond
-	return opts
-}
-
-func TestRetryRecoversTransientFailure(t *testing.T) {
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 2}))
-	var attempts atomic.Int64
-	flaky := func(ctx context.Context) (*ehs.Result, error) {
-		if attempts.Add(1) < 3 {
-			return nil, &faultinject.InjectedError{Point: "test", Occurrence: attempts.Load()}
-		}
-		return &ehs.Result{Completed: true}, nil
+// TestInjectedFaultSettlesAtOnce: a compute error settles its job at once,
+// classified, with the compute run exactly once.
+func TestInjectedFaultSettlesAtOnce(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	var calls atomic.Int64
+	faulty := func(ctx context.Context) (*ehs.Result, error) {
+		calls.Add(1)
+		return nil, &faultinject.InjectedError{Point: "test", Occurrence: calls.Load()}
 	}
-	res, _, err := svc.Do(context.Background(), "transient", flaky)
-	if err != nil {
-		t.Fatalf("job failed despite retry budget: %v", err)
+	_, _, err := svc.Do(context.Background(), "transient", faulty)
+	if code := Classify(err); code != CodeFaultInjected {
+		t.Fatalf("job settled with %v (%s), want %s", err, code, CodeFaultInjected)
 	}
-	if !res.Completed {
-		t.Fatal("wrong result")
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("compute ran %d times, want 1", got)
 	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", got)
-	}
-	if m := svc.Metrics(); m.JobsRetried != 2 {
-		t.Fatalf("JobsRetried = %d, want 2", m.JobsRetried)
+	if m := svc.Metrics(); m.JobsFailed != 1 || m.Errors["fault_injected"] != 1 {
+		t.Fatalf("JobsFailed = %d, Errors[fault_injected] = %d, want 1 and 1", m.JobsFailed, m.Errors["fault_injected"])
 	}
 }
 
-func TestPanicRecoveredAndRetried(t *testing.T) {
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 2}))
-	var attempts atomic.Int64
+// TestPanicSettlesAtOnce: a panicking compute is recovered, counted and
+// classified, and its job settles after one compute. The failure is not
+// cached, so the next submission of the key computes again on the same
+// worker, which the panic did not kill.
+func TestPanicSettlesAtOnce(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	var calls atomic.Int64
 	panicky := func(ctx context.Context) (*ehs.Result, error) {
-		if attempts.Add(1) == 1 {
-			panic("injected kaboom")
+		if calls.Add(1) == 1 {
+			panic("forever broken")
 		}
 		return &ehs.Result{Completed: true}, nil
 	}
-	if _, _, err := svc.Do(context.Background(), "panicky", panicky); err != nil {
-		t.Fatalf("job failed despite panic retry: %v", err)
-	}
-	m := svc.Metrics()
-	if m.PanicsRecovered != 1 {
-		t.Fatalf("PanicsRecovered = %d, want 1", m.PanicsRecovered)
-	}
-	if m.JobsRetried != 1 {
-		t.Fatalf("JobsRetried = %d, want 1", m.JobsRetried)
-	}
-}
-
-func TestPanicExhaustsRetries(t *testing.T) {
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 1}))
-	always := func(ctx context.Context) (*ehs.Result, error) { panic("forever broken") }
-	_, _, err := svc.Do(context.Background(), "doomed", always)
+	_, _, err := svc.Do(context.Background(), "panicky", panicky)
 	if err == nil {
-		t.Fatal("expected failure")
+		t.Fatal("a panicking compute settled successfully")
 	}
 	if !strings.Contains(err.Error(), "simsvc: job panicked: forever broken") {
 		t.Fatalf("panic error text changed: %v", err)
@@ -93,19 +72,30 @@ func TestPanicExhaustsRetries(t *testing.T) {
 	if code := Classify(err); code != CodePanic {
 		t.Fatalf("Classify = %s, want %s", code, CodePanic)
 	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("compute ran %d times before the job settled, want 1", got)
+	}
 	m := svc.Metrics()
-	if m.PanicsRecovered != 2 {
-		t.Fatalf("PanicsRecovered = %d, want 2 (attempt + retry)", m.PanicsRecovered)
+	if m.PanicsRecovered != 1 {
+		t.Fatalf("PanicsRecovered = %d, want 1", m.PanicsRecovered)
 	}
 	if m.Errors["panic"] != 1 {
 		t.Fatalf("Errors[panic] = %d, want 1", m.Errors["panic"])
 	}
+
+	res, cached, err := svc.Do(context.Background(), "panicky", panicky)
+	if err != nil || !res.Completed || cached {
+		t.Fatalf("resubmission = (%+v, cached %v, %v), want a fresh successful compute", res, cached, err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("compute ran %d times over two submissions, want 2", got)
+	}
 }
 
-// TestPlainErrorsNotRetried pins the retry policy's scope: deterministic
-// failures run exactly once (the simulator is a pure function).
+// TestPlainErrorsNotRetried: a deterministic failure runs exactly once (the
+// simulator is a pure function).
 func TestPlainErrorsNotRetried(t *testing.T) {
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 3}))
+	svc := newTestService(t, Options{Workers: 1})
 	var attempts atomic.Int64
 	deterministic := func(ctx context.Context) (*ehs.Result, error) {
 		attempts.Add(1)
@@ -116,52 +106,6 @@ func TestPlainErrorsNotRetried(t *testing.T) {
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("deterministic failure ran %d times, want 1", got)
-	}
-}
-
-// TestCancelAbortsRetryBackoff is the satellite regression: canceling a job
-// parked in its retry backoff must settle it immediately — the retry must
-// not fire after cancellation, and the wait must not run out its (here
-// absurdly long) backoff delay.
-func TestCancelAbortsRetryBackoff(t *testing.T) {
-	svc := newTestService(t, Options{
-		Workers: 1, RetryMax: 3,
-		RetryBaseDelay: time.Hour, RetryMaxDelay: time.Hour,
-	})
-	var attempts atomic.Int64
-	transient := func(ctx context.Context) (*ehs.Result, error) {
-		attempts.Add(1)
-		return nil, &faultinject.InjectedError{Point: "test", Occurrence: 1}
-	}
-	job, err := svc.submit(nil, "backoff-cancel", transient, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for attempts.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first attempt never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The attempt has failed; give the worker a moment to enter the backoff
-	// wait (two mutex hops away), then cancel into it.
-	time.Sleep(100 * time.Millisecond)
-	if err := svc.Cancel(job.ID()); err != nil {
-		t.Fatal(err)
-	}
-	waitCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	start := time.Now()
-	_, werr := job.Wait(waitCtx)
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %s to settle a job in backoff", elapsed)
-	}
-	if !errors.Is(werr, context.Canceled) {
-		t.Fatalf("canceled job settled with %v, want context.Canceled", werr)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("retry fired after cancellation: %d attempts", got)
 	}
 }
 
@@ -592,7 +536,6 @@ func TestMetricsExposeResilienceSeries(t *testing.T) {
 	text := svc.Metrics().Prometheus()
 	for _, want := range []string{
 		"kagura_panics_recovered_total 0\n",
-		"kagura_jobs_retried_total 0\n",
 		"kagura_jobs_shed_total 0\n",
 		"kagura_degraded_runs 0\n",
 		"kagura_shedding 0\n",
@@ -613,26 +556,36 @@ func TestMetricsExposeResilienceSeries(t *testing.T) {
 // that killed a live server: a KindPanic injection at simsvc.compute fires
 // outside the user compute function, and must still be caught by the
 // worker's recover shield — an injected panic is a simulated compute crash,
-// not a worker kill.
+// not a worker kill. The job settles at once as a panic; the injection
+// fires before the user compute, so that never runs.
 func TestInjectedComputePanicIsRecovered(t *testing.T) {
 	armChaos(t, faultinject.Plan{Seed: 21, Rules: []faultinject.Rule{
-		{Point: "simsvc.compute", Kind: faultinject.KindPanic, Every: 1, Message: "drill crash"},
+		{Point: "simsvc.compute", Kind: faultinject.KindPanic, Nth: 1, Message: "drill crash"},
 	}})
-	svc := newTestService(t, fastRetry(Options{Workers: 1, RetryMax: 1}))
-	_, _, err := svc.Do(context.Background(), "inj-panic", func(ctx context.Context) (*ehs.Result, error) {
+	svc := newTestService(t, Options{Workers: 1})
+	var calls atomic.Int64
+	compute := func(ctx context.Context) (*ehs.Result, error) {
+		calls.Add(1)
 		return &ehs.Result{Completed: true}, nil
-	})
-	if err == nil {
-		t.Fatal("every attempt panics; the job cannot succeed")
 	}
+	_, _, err := svc.Do(context.Background(), "inj-panic", compute)
 	if code := Classify(err); code != CodePanic {
-		t.Fatalf("Classify = %s, want %s", code, CodePanic)
+		t.Fatalf("Classify(%v) = %s, want %s", err, code, CodePanic)
 	}
-	m := svc.Metrics()
-	if m.PanicsRecovered != 2 {
-		t.Fatalf("PanicsRecovered = %d, want 2 (attempt + retry)", m.PanicsRecovered)
+	if got := faultinject.SimsvcCompute.Fires(); got != 1 {
+		t.Fatalf("simsvc.compute fired %d times, want 1", got)
 	}
-	if m.JobsRetried != 1 {
-		t.Fatalf("JobsRetried = %d, want 1", m.JobsRetried)
+	if got := calls.Load(); got != 0 {
+		t.Fatalf("user compute ran %d times behind a panicking injection, want 0", got)
+	}
+	if m := svc.Metrics(); m.PanicsRecovered != 1 {
+		t.Fatalf("PanicsRecovered = %d, want 1", m.PanicsRecovered)
+	}
+	// The worker survived: the same key computes on the next submission.
+	if _, _, err := svc.Do(context.Background(), "inj-panic", compute); err != nil {
+		t.Fatalf("worker did not survive the injected panic: %v", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("user compute ran %d times, want 1", got)
 	}
 }

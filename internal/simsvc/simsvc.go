@@ -43,7 +43,6 @@ import (
 	"kagura/internal/faultinject"
 	"kagura/internal/journal"
 	"kagura/internal/obs"
-	"kagura/internal/rng"
 	"kagura/internal/store"
 )
 
@@ -99,23 +98,6 @@ type Options struct {
 	// unique-spec traffic).
 	CacheCapacity int
 
-	// RetryMax bounds retries after a transient compute failure — a
-	// recovered panic or an error exposing Temporary() true. Deterministic
-	// failures are never retried: the simulator is a pure function, so they
-	// fail identically every time. Default 2 (three attempts total); -1
-	// disables retries.
-	RetryMax int
-	// RetryBaseDelay is the first retry's backoff (default 25ms); each
-	// further retry doubles it, capped at RetryMaxDelay (default 2s), with
-	// seeded jitter in [d/2, d). The wait aborts instantly when the job is
-	// canceled.
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the exponential backoff (default 2s).
-	RetryMaxDelay time.Duration
-	// RetrySeed seeds the jitter stream (default 1); fixed so a given
-	// service configuration backs off reproducibly.
-	RetrySeed uint64
-
 	// ShedHighWater opens the load-shedding breaker when queue occupancy
 	// reaches this fraction of QueueDepth (default 0.9): submissions fail
 	// fast with ErrOverloaded instead of absorbing the last queue slots.
@@ -146,8 +128,8 @@ type Options struct {
 	Journal *journal.Journal
 
 	// Logger, when non-nil, receives structured job lifecycle events
-	// (submit, retry, finish) carrying the job ID, cache key, taxonomy error
-	// code, and attempt count. Nil — the default, and what benchmarks run
+	// (submit, reject, finish) carrying the job ID, cache key, state and
+	// taxonomy error code. Nil — the default, and what benchmarks run
 	// with — disables logging entirely; the instrumentation then costs one
 	// nil check per event. kagura-serve wires a JSON handler behind
 	// -log-json.
@@ -180,21 +162,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheCapacity < 0 {
 		o.CacheCapacity = 0 // negative means "unbounded"
 	}
-	if o.RetryMax == 0 {
-		o.RetryMax = 2
-	}
-	if o.RetryMax < 0 {
-		o.RetryMax = 0 // -1 and below mean "no retries"
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 25 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = 2 * time.Second
-	}
-	if o.RetrySeed == 0 {
-		o.RetrySeed = 1
-	}
 	if o.ShedHighWater <= 0 || o.ShedHighWater > 1 {
 		o.ShedHighWater = 0.9
 	}
@@ -206,7 +173,8 @@ func (o Options) withDefaults() Options {
 
 // Job is one scheduled simulation. Fields are guarded by the service mutex
 // until done is closed; after that the result fields are immutable. A job
-// drops its compute closure once its computation can no longer run.
+// drops its compute closure when a worker takes it or when it settles
+// without running.
 type Job struct {
 	id      string
 	key     string
@@ -222,8 +190,8 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	// trace is the job's phase timeline (queued → warm-start → compute per
-	// attempt → backoff), self-synchronized; GET /v1/jobs/{id} exposes it.
+	// trace is the job's phase timeline (queued → store → warm-start →
+	// compute), self-synchronized; GET /v1/jobs/{id} exposes it.
 	trace *obs.Trace
 
 	// Guarded by Service.mu until done closes.
@@ -237,9 +205,6 @@ type Job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
-	// attempts counts compute attempts actually started (0 until a worker
-	// picks the job up; 1 + retries after).
-	attempts int
 	// journaled marks a job whose submit record reached the intent journal;
 	// only such jobs append settles. On owner promotion (Cancel) the flag
 	// transfers to the promoted waiter along with the cache entry.
@@ -286,7 +251,7 @@ type JobStatus struct {
 	Spec               *RunSpec   `json:"spec,omitempty"`
 	Result             *RunResult `json:"result,omitempty"`
 	// Trace is the job's phase timeline: contiguous queued/coalesced/cached/
-	// warmstart/compute/backoff spans whose durations sum to the job's wall
+	// store/warmstart/compute spans whose durations sum to the job's wall
 	// time. A live job's open span is reported through the snapshot instant.
 	Trace []obs.Span `json:"trace,omitempty"`
 }
@@ -345,8 +310,6 @@ type Service struct {
 	met      metrics
 	// shedding is the load-shedding breaker state (see Options.ShedHighWater).
 	shedding bool
-	// retryRng draws backoff jitter; seeded, so backoff is reproducible.
-	retryRng *rng.Source
 
 	// Persistent tier (nil unless Options.StoreDir is set and opened). The
 	// pump goroutine drains storeQ until Close closes it; storeErr records a
@@ -375,8 +338,6 @@ func New(opts Options) *Service {
 		lru:     list.New(),
 		jobs:    make(map[string]*Job),
 		jnl:     opts.Journal,
-
-		retryRng: rng.New(opts.RetrySeed),
 	}
 	s.met.init()
 	s.openStore()
@@ -729,7 +690,6 @@ func (s *Service) logFinish(job *Job) {
 		slog.String("job", job.id),
 		slog.String("key", job.key),
 		slog.String("state", string(job.state)),
-		slog.Int("attempts", job.attempts),
 	}
 	if job.err != nil {
 		attrs = append(attrs, slog.String("code", string(Classify(job.err))))
@@ -900,7 +860,10 @@ func (s *Service) slotOwnerLocked(job *Job) *Job {
 	return job
 }
 
-// runJob executes one owned job and resolves its cache entry.
+// runJob executes one owned job and resolves its cache entry. The job runs
+// its compute at most once: a failure — including a recovered panic — settles
+// it at once, because the simulator is a pure function and would fail the
+// same way again.
 func (s *Service) runJob(job *Job) {
 	s.mu.Lock()
 	job = s.slotOwnerLocked(job)
@@ -910,8 +873,8 @@ func (s *Service) runJob(job *Job) {
 	}
 	job.state = StateRunning
 	job.started = time.Now()
-	job.attempts = 1
-	compute := job.compute
+	var compute func(context.Context) (*ehs.Result, error)
+	compute, job.compute = job.compute, nil
 	s.met.queueNanos += job.started.Sub(job.created).Nanoseconds()
 	s.met.queueCount++
 	s.met.queueSecondsHist.Observe(job.started.Sub(job.created).Seconds())
@@ -921,7 +884,7 @@ func (s *Service) runJob(job *Job) {
 	// a previous run (or process). A hit skips the simulation entirely; the
 	// result then publishes into the memory LRU like a computed one, but is
 	// not written back to the disk it came from (fromStore).
-	attemptStart := job.started
+	computeStart := job.started
 	if s.store != nil {
 		job.trace.Begin(obs.PhaseStore, job.started)
 		if res, ok := s.storeGetResult(job.key); ok {
@@ -931,12 +894,12 @@ func (s *Service) runJob(job *Job) {
 			s.finishJob(job, res, nil)
 			return
 		}
-		attemptStart = time.Now()
+		computeStart = time.Now()
 	}
-	job.trace.BeginAttempt(1, obs.PhaseCompute, attemptStart)
+	job.trace.Begin(obs.PhaseCompute, computeStart)
 
 	// Carry the trace so compute paths (warm-start snapshot resolution) can
-	// open their own phases inside the attempt.
+	// open their own phases inside the compute span.
 	ctx := obs.WithTrace(job.ctx, job.trace)
 	if job.timeout > 0 {
 		var cancel context.CancelFunc
@@ -946,69 +909,24 @@ func (s *Service) runJob(job *Job) {
 	// The injection points run inside safeCompute's recover shield: an
 	// injected panic must be indistinguishable from a compute crash, not a
 	// worker kill.
-	attempt := func() (*ehs.Result, error) {
-		return s.safeCompute(ctx, func(ctx context.Context) (*ehs.Result, error) {
-			if ierr := faultinject.SimsvcCompute.Fire(ctx); ierr != nil {
+	res, err := s.safeCompute(ctx, func(ctx context.Context) (*ehs.Result, error) {
+		if ierr := faultinject.SimsvcCompute.Fire(ctx); ierr != nil {
+			return nil, ierr
+		}
+		res, err := compute(ctx)
+		if err == nil {
+			if ierr := faultinject.SimsvcCacheInsert.Fire(ctx); ierr != nil {
 				return nil, ierr
 			}
-			res, err := compute(ctx)
-			if err == nil {
-				if ierr := faultinject.SimsvcCacheInsert.Fire(ctx); ierr != nil {
-					return nil, ierr
-				}
-			}
-			return res, err
-		})
-	}
-	res, err := attempt()
-	for tries := 1; err != nil && tries <= s.opts.RetryMax && retryable(err) && ctx.Err() == nil; tries++ {
-		job.trace.Begin(obs.PhaseBackoff, time.Now())
-		if !s.backoff(ctx, tries) {
-			// Canceled mid-backoff: settle as canceled now — the retry must
-			// not fire after cancellation.
-			err = ctx.Err()
-			break
 		}
-		s.mu.Lock()
-		s.met.jobsRetried++
-		job.attempts = tries + 1
-		s.mu.Unlock()
-		s.logEvent("job.retry", slog.String("job", job.id), slog.String("key", job.key),
-			slog.Int("attempt", tries+1), slog.String("code", string(Classify(err))))
-		job.trace.BeginAttempt(tries+1, obs.PhaseCompute, time.Now())
-		res, err = attempt()
-	}
+		return res, err
+	})
 	s.finishJob(job, res, err)
 }
 
-// backoff waits out the capped exponential backoff before retry number
-// `attempt`, with seeded jitter in [d/2, d). Returns false immediately if
-// ctx is canceled first.
-func (s *Service) backoff(ctx context.Context, attempt int) bool {
-	d := s.opts.RetryBaseDelay
-	for i := 1; i < attempt && d < s.opts.RetryMaxDelay; i++ {
-		d *= 2
-	}
-	if d > s.opts.RetryMaxDelay {
-		d = s.opts.RetryMaxDelay
-	}
-	s.mu.Lock()
-	jitter := s.retryRng.Float64()
-	s.mu.Unlock()
-	d = d/2 + time.Duration(float64(d/2)*jitter)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // safeCompute shields the worker pool from panicking compute functions. The
-// recovered panic surfaces as a retryable *panicError and is counted in
-// kagura_panics_recovered_total.
+// recovered panic surfaces as a *panicError (taxonomy code panic) and is
+// counted in kagura_panics_recovered_total.
 func (s *Service) safeCompute(ctx context.Context, compute func(context.Context) (*ehs.Result, error)) (res *ehs.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -1078,7 +996,7 @@ func (s *Service) finishJobLocked(job *Job, res *ehs.Result, err error, now time
 	}
 
 	// Resolve the cache entry this job owns. Success publishes the result;
-	// failure clears the slot so a retry can recompute. Coalesced waiters
+	// failure clears the slot so a later submission can recompute. Coalesced waiters
 	// inherit the owner's outcome, successes counting as cache hits.
 	settleKey := ""
 	if ownsEntry {
@@ -1116,8 +1034,7 @@ func (s *Service) finishJobLocked(job *Job, res *ehs.Result, err error, now time
 		}
 	}
 	s.finishOneLocked(job, res, err, false, now)
-	job.cancel()      // idempotent; also releases a detached owner's context once its computation returns
-	job.compute = nil // an owner Cancel resolved kept it while it computed for its waiters
+	job.cancel() // idempotent; also releases a detached owner's context once its computation returns
 	return settleKey
 }
 

@@ -669,10 +669,10 @@ func hasCompute(svc *Service, job *Job) bool {
 }
 
 // TestSettledJobDropsCompute: a retained job keeps its ID and result, not
-// its compute closure (and whatever that captured). The exception is a
-// canceled owner whose computation is still running for coalesced waiters:
-// the worker may yet retry it, so its closure lives until the computation
-// returns.
+// its compute closure (and whatever that captured). A job computes at most
+// once, so the worker takes the closure when it starts the job: a running
+// owner no longer holds it, and neither does a canceled owner whose
+// computation still runs for coalesced waiters.
 func TestSettledJobDropsCompute(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 1})
 	ran, err := svc.Submit(quickSpec())
@@ -716,6 +716,9 @@ func TestSettledJobDropsCompute(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
+	if hasCompute(svc, owner) {
+		t.Fatal("running owner still holds its compute closure")
+	}
 	waiter, err := svc.submit(nil, "shared", block, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -726,8 +729,8 @@ func TestSettledJobDropsCompute(t *testing.T) {
 	if _, err := owner.Wait(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("owner err = %v, want context.Canceled", err)
 	}
-	if !hasCompute(svc, owner) {
-		t.Fatal("canceled owner still computing for a waiter lost its compute closure")
+	if hasCompute(svc, owner) {
+		t.Fatal("canceled owner still computing for a waiter holds its compute closure")
 	}
 	close(release)
 	if _, err := waiter.Wait(context.Background()); err != nil {

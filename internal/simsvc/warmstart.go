@@ -83,7 +83,7 @@ func (s *Service) submitFork(spec RunSpec, base RunSpec, baseKey string, cycles 
 			return nil, err
 		}
 		// The job's trace rides the context (obs.WithTrace in runJob): split
-		// the compute attempt into a warm-start span — computing or waiting
+		// the compute span into a warm-start span — computing or waiting
 		// for the snapshot — and the simulation proper.
 		tr := obs.TraceFrom(ctx)
 		tr.Begin(obs.PhaseWarmStart, time.Now())
