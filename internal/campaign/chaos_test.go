@@ -159,3 +159,65 @@ func TestCampaignDecodeExportFaultsFailClosed(t *testing.T) {
 		t.Errorf("ExportCSV ignored the injected export fault")
 	}
 }
+
+// A journaled campaign whose point panics is retired, not relaunched at
+// every restart: after it fails with code panic, three simulated restarts
+// resume nothing, compute nothing more, and leave no campaign in the
+// journal.
+func TestCampaignPanicRetiresJournal(t *testing.T) {
+	faultinject.Disable()
+	if err := faultinject.Enable(faultinject.Plan{Seed: 5, Rules: []faultinject.Rule{
+		{Point: "simsvc.compute", Kind: faultinject.KindPanic, Every: 1, Message: "chaos: always"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultinject.Disable)
+
+	dir := t.TempDir()
+	spec := &Spec{
+		Name: "panics",
+		Base: simsvc.RunSpec{App: "jpeg"},
+		Axes: []Axis{{Param: "scale", Values: rawVals(0.02)}},
+	}
+	// restart opens the journal and a service as a fresh process would,
+	// runs body, and returns the journal's campaigns afterwards.
+	restart := func(body func(*Manager)) map[string]*journal.CampaignIntent {
+		jnl, err := journal.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jnl.Close()
+		svc := simsvc.New(simsvc.Options{Workers: 1, QueueDepth: 16})
+		defer svc.Close()
+		mgr := NewManagerJournaled(svc, jnl)
+		defer mgr.Close()
+		body(mgr)
+		return jnl.State().Campaigns
+	}
+
+	restart(func(mgr *Manager) {
+		id, err := mgr.Start(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.Report(id); simsvc.Classify(err) != simsvc.CodePanic {
+			t.Fatalf("campaign settled with %v, want code %s", err, simsvc.CodePanic)
+		}
+	})
+	for i := 1; i <= 3; i++ {
+		left := restart(func(mgr *Manager) {
+			if ids := mgr.ResumeFromJournal(); len(ids) != 0 {
+				t.Errorf("restart %d resumed %v", i, ids)
+			}
+		})
+		if len(left) != 0 {
+			t.Errorf("restart %d: the journal still holds %d campaigns", i, len(left))
+		}
+	}
+	if n := faultinject.SimsvcCompute.Fires(); n != 1 {
+		t.Fatalf("the panicking point was computed %d times, want 1", n)
+	}
+}

@@ -27,8 +27,8 @@ type Runner struct {
 
 	// Jnl, when set, makes the run crash-tolerant: a start record before the
 	// first wave, a wave checkpoint (points + strategy snapshot) after each
-	// completed wave, a done record on success. CampaignID names the records;
-	// it must be set whenever Jnl is.
+	// completed wave, a done record on success or when a point's compute
+	// panicked. CampaignID names the records; it must be set whenever Jnl is.
 	Jnl        *journal.Journal
 	CampaignID string
 	// Resume replays a journaled campaign instead of starting fresh: the
@@ -119,6 +119,13 @@ func (r *Runner) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	r.Met.campaignStarted()
 	rep, err := r.run(ctx, spec)
 	if err != nil {
+		if simsvc.Classify(err) == simsvc.CodePanic {
+			// A point whose compute panicked would panic again on every
+			// resume: retire the campaign instead of relaunching it at each
+			// restart. Dispatch faults, backpressure, cancellation and
+			// shutdown leave it resumable.
+			r.journalDone()
+		}
 		r.Met.campaignFailed()
 		return nil, err
 	}
@@ -292,7 +299,8 @@ func (r *Runner) journalWave(round int, wave []int, strat strategy) {
 	})
 }
 
-// journalDone retires the campaign's journal records.
+// journalDone retires the campaign's journal records: nothing is left to
+// resume.
 func (r *Runner) journalDone() {
 	if r.Jnl == nil {
 		return
@@ -308,7 +316,8 @@ func (r *Runner) journalDone() {
 // in flight is load from other clients, and fails the campaign. Every other
 // failure, a recovered panic or an injected fault included, fails the point
 // at once: the simulator is a pure function and would fail the same way
-// again, and the journal keeps a failed campaign resumable.
+// again. The journal keeps a failed campaign resumable, unless the failure
+// was a panic (see Run).
 func (r *Runner) runPoints(ctx context.Context, round int, indices []int, specs []simsvc.RunSpec, fork *simsvc.ForkPoint) ([]*ehs.Result, error) {
 	jobs := make([]*simsvc.Job, 0, len(specs))
 	out := make([]*ehs.Result, len(specs))

@@ -2,6 +2,8 @@ package ehs
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -307,6 +309,40 @@ func TestOracleRecordReplay(t *testing.T) {
 	}
 	if res.Compressions == 0 {
 		t.Fatal("ideal replay should still perform the useful compressions")
+	}
+}
+
+// A recording oracle only observes: the run it is attached to returns the
+// same Result as the run without it, on every design and codec, with Kagura
+// on and off. The Lab relies on this to record Fig 13's ideal oracle on the
+// ACC+Kagura run it needs anyway.
+func TestOracleRecordOnlyObserves(t *testing.T) {
+	for _, design := range Designs() {
+		for _, codec := range []compress.Codec{compress.BDI{}, compress.FPC{}} {
+			for _, withKagura := range []bool{false, true} {
+				cfg := testConfig(t, "jpeg").WithACC(codec)
+				cfg.Design = design
+				if withKagura {
+					cfg = cfg.WithKagura(kagura.DefaultConfig())
+				}
+				plain, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Oracle = NewOracle()
+				recorded, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s/%s/kagura=%v", design, codec.Name(), withKagura)
+				if cfg.Oracle.UsefulCount() == 0 {
+					t.Errorf("%s: the oracle recorded nothing", name)
+				}
+				if !reflect.DeepEqual(plain, recorded) {
+					t.Errorf("%s: recording changed the result:\n%+v\n---\n%+v", name, plain, recorded)
+				}
+			}
+		}
 	}
 }
 

@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"kagura/internal/ehs"
+	"kagura/internal/simsvc"
 )
 
 // quickLab returns a shared Lab for the smoke tests (memoization makes the
@@ -220,4 +226,114 @@ func TestLabSharesTraces(t *testing.T) {
 	if _, err := l.trace("wind", 1); err == nil {
 		t.Fatal("unknown trace should error")
 	}
+}
+
+// Every experiment submits all the simulations it computes in one fan-out:
+// on a 1-worker service at the quick preset, each job it computes is
+// created before the first of them settles. A blocker job holds the worker
+// while the experiment starts, so the check does not depend on how fast a
+// quick simulation is against how fast the fan-out submits.
+func TestExperimentsSubmitBeforeFirstSettle(t *testing.T) {
+	ids := []string{
+		"fig01", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24", "fig25",
+		"fig26", "fig27", "fig28", "fig29", "table2", "table4", "estimator",
+		"atomic", "replacement", "codecs-ext",
+		"fig12", "fig14", "fig17", "fig30", "table3",
+	}
+	for _, id := range ids {
+		t.Run(id, func(t *testing.T) {
+			svc := simsvc.New(simsvc.Options{Workers: 1, QueueDepth: 4096})
+			defer svc.Close()
+			lab := NewWithService(svc, Quick())
+			started, blocked := make(chan struct{}), make(chan error, 1)
+			go func() {
+				_, _, err := svc.Do(context.Background(), "blocker", func(context.Context) (*ehs.Result, error) {
+					close(started)
+					time.Sleep(100 * time.Millisecond)
+					return &ehs.Result{Completed: true}, nil
+				})
+				blocked <- err
+			}()
+			<-started
+			if _, err := lab.Run(id); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-blocked; err != nil {
+				t.Fatal(err)
+			}
+			var lastCreated, firstSettled time.Time
+			computed := 0
+			for _, st := range svc.Jobs() {
+				if st.Cached || st.Key == "blocker" {
+					continue
+				}
+				settled := st.CreatedAt.Add(time.Duration((st.QueueSeconds + st.RunSeconds) * float64(time.Second)))
+				if computed == 0 || st.CreatedAt.After(lastCreated) {
+					lastCreated = st.CreatedAt
+				}
+				if computed == 0 || settled.Before(firstSettled) {
+					firstSettled = settled
+				}
+				computed++
+			}
+			if computed < 2 {
+				t.Fatalf("%s computed %d jobs", id, computed)
+			}
+			if lastCreated.After(firstSettled) {
+				t.Errorf("%s: a job was created %v after the first of its %d computed jobs settled",
+					id, lastCreated.Sub(firstSettled), computed)
+			}
+		})
+	}
+}
+
+// countSims wraps runSim to count simulations for the test's duration.
+func countSims(t *testing.T) *atomic.Int64 {
+	var n atomic.Int64
+	orig := runSim
+	runSim = func(ctx context.Context, cfg ehs.Config) (*ehs.Result, error) {
+		n.Add(1)
+		return orig(ctx, cfg)
+	}
+	t.Cleanup(func() { runSim = orig })
+	return &n
+}
+
+// Fig 13's ideal oracle replays what the ACC+Kagura cell recorded: a fresh
+// lab simulates base, ACC, ACC+Kagura and the replay, 4 runs per
+// (app, seed), not 5.
+func TestHeadlineSimulatesFourRunsPerAppSeed(t *testing.T) {
+	lab := New(Quick())
+	defer lab.Close()
+	sims := countSims(t)
+	res, err := lab.Fig13Performance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := lab.Options()
+	if got, want := sims.Load(), int64(4*len(opts.Apps)*len(opts.Seeds)); got != want {
+		t.Errorf("headline simulated %d runs, want %d", got, want)
+	}
+	checkGolden(t, "fig13", res)
+}
+
+// When the ACC+Kagura cell comes from the cache, nothing was recorded for
+// the ideal job, so it records for itself, with the same table.
+func TestHeadlineIdealRecordsWhenCellCached(t *testing.T) {
+	lab := New(Quick())
+	defer lab.Close()
+	opts := lab.Options()
+	if _, err := lab.simulate(opts.Apps, opts.traceName(), withKag); err != nil {
+		t.Fatal(err)
+	}
+	sims := countSims(t)
+	res, err := lab.Fig13Performance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// base, ACC, and the ideal job's record and replay.
+	if got, want := sims.Load(), int64(4*len(opts.Apps)*len(opts.Seeds)); got != want {
+		t.Errorf("headline simulated %d runs, want %d", got, want)
+	}
+	checkGolden(t, "fig13", res)
 }

@@ -17,33 +17,20 @@ import (
 // EstimatorAblation compares §VI-A's Simple Approach (no reward/punishment
 // counter, no R_adjust) against the sophisticated default.
 func (l *Lab) EstimatorAblation() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, v := range []struct {
+		label  string
+		simple bool
+	}{{"simple (§VI-A)", true}, {"sophisticated", false}} {
+		fn := tunedKagura(func(kc *kagura.Config) { kc.SimpleEstimator = v.simple })
+		rows = append(rows, row{v.label, []cell{overBase(fmt.Sprintf("kagura:simple=%v", v.simple), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "estimator",
 		Title:   "§VI-A estimator ablation (ACC+Kagura speedup over baseline)",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: the sophisticated approach motivates R_adjust and the 2-bit counter"},
-	}
-	variants := []struct {
-		label  string
-		simple bool
-	}{{"simple (§VI-A)", true}, {"sophisticated", false}}
-	for _, v := range variants {
-		v := v
-		fn := func(c ehs.Config) (ehs.Config, error) {
-			kc := kagura.DefaultConfig()
-			kc.SimpleEstimator = v.simple
-			return c.WithACC(compress.BDI{}).WithKagura(kc), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps, "base", cfgBase,
-			fmt.Sprintf("kagura:simple=%v", v.simple), fn)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, v.label)
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // AtomicRegions evaluates §VII-A: with peripheral atomic regions, extra
@@ -51,100 +38,54 @@ func (l *Lab) EstimatorAblation() (*SweepResult, error) {
 // more useless compressions to avert. Speedups are over the same-region
 // baseline.
 func (l *Lab) AtomicRegions() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
-		ID:      "atomic",
-		Title:   "§VII-A atomic I/O regions (ACC+Kagura speedup over same-region baseline)",
-		Configs: []string{"+ACC+Kagura"},
-		Notes:   []string{"paper: region-level checkpointing brings more opportunities for Kagura"},
-	}
+	var rows []row
 	for _, region := range []int64{0, 2048, 512} {
-		region := region
 		label := "JIT only"
 		if region > 0 {
 			label = fmt.Sprintf("regions of %d", region)
 		}
-		base := func(c ehs.Config) (ehs.Config, error) {
+		fn := func(c ehs.Config) ehs.Config {
 			c.AtomicRegionInstrs = region
-			return c, nil
+			return c
 		}
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			c.AtomicRegionInstrs = region
-			return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps,
-			fmt.Sprintf("base:region%d", region), base,
-			fmt.Sprintf("kagura:region%d", region), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, label)
-		out.Speedups = append(out.Speedups, []float64{s})
+		rows = append(rows, row{label, []cell{kaguraOver(fmt.Sprintf("region%d", region), fn)}})
 	}
-	return out, nil
+	return l.sweep(&SweepResult{
+		ID:      "atomic",
+		Title:   "§VII-A atomic I/O regions (ACC+Kagura speedup over same-region baseline)",
+		Configs: []string{"+ACC+Kagura"},
+		Notes:   []string{"paper: region-level checkpointing brings more opportunities for Kagura"},
+	}, rows)
 }
 
 // ReplacementPolicies is an ablation over the cache replacement policy (the
 // paper fixes LRU, Table I): how much of the compression stack's behavior
 // depends on it?
 func (l *Lab) ReplacementPolicies() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, repl := range []cache.Replacement{cache.ReplLRU, cache.ReplFIFO, cache.ReplRandom} {
+		fn := func(c ehs.Config) ehs.Config {
+			c.ICache.Replacement = repl
+			c.DCache.Replacement = repl
+			return c
+		}
+		rows = append(rows, row{repl.String(), []cell{kaguraOver(repl.String(), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "replacement",
 		Title:   "Cache replacement policy ablation (speedup over same-policy baseline)",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"ablation: the paper's Table I fixes LRU"},
-	}
-	for _, repl := range []cache.Replacement{cache.ReplLRU, cache.ReplFIFO, cache.ReplRandom} {
-		repl := repl
-		base := func(c ehs.Config) (ehs.Config, error) {
-			c.ICache.Replacement = repl
-			c.DCache.Replacement = repl
-			return c, nil
-		}
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			c.ICache.Replacement = repl
-			c.DCache.Replacement = repl
-			return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps,
-			"base:"+repl.String(), base,
-			"kagura:"+repl.String(), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, repl.String())
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // ExtendedCompressors runs the Fig 23 study over the §IX related
 // compressors (BPC, FVC) alongside the paper's four.
 func (l *Lab) ExtendedCompressors() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	return l.sweep(&SweepResult{
 		ID:      "codecs-ext",
 		Title:   "Extended compressor study (§IX related work: BPC, FVC)",
 		Configs: []string{"+ACC", "+ACC+Kagura"},
 		Notes:   []string{"extension beyond Fig 23: the related compressors the paper surveys"},
-	}
-	for _, codec := range compress.Extended() {
-		codec := codec
-		acc := func(c ehs.Config) (ehs.Config, error) { return c.WithACC(codec), nil }
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			return c.WithACC(codec).WithKagura(kagura.DefaultConfig()), nil
-		}
-		a, err := l.meanSpeedupOverApps(apps, "base", cfgBase, "acc:"+codec.Name(), acc)
-		if err != nil {
-			return nil, err
-		}
-		k, err := l.meanSpeedupOverApps(apps, "base", cfgBase, "kagura:"+codec.Name(), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, codec.Name())
-		out.Speedups = append(out.Speedups, []float64{a, k})
-	}
-	return out, nil
+	}, codecRows(compress.Extended()))
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"kagura/internal/ehs"
+	"kagura/internal/simsvc"
 )
 
 // AppRow is one application's headline comparison (Fig 13 and friends).
@@ -39,47 +41,37 @@ type Fig13Result struct {
 
 // headline computes the shared per-app comparison used by Figs 13/15/16/18.
 func (l *Lab) headline() (*Fig13Result, error) {
-	out := &Fig13Result{}
 	trace := l.opts.traceName()
-	// Fan the simulations out first; the aggregation below reads from cache.
-	var jobs []func() error
-	for _, name := range l.opts.appNames() {
-		name := name
-		for _, seed := range l.opts.seeds() {
-			seed := seed
-			jobs = append(jobs,
-				func() error { _, err := l.result(name, trace, seed, "base", cfgBase); return err },
-				func() error { _, err := l.result(name, trace, seed, "acc", cfgACC); return err },
-				func() error { _, err := l.result(name, trace, seed, "kagura", cfgKagura); return err },
-				func() error { _, err := l.idealResult(name, trace, seed); return err },
-			)
+	apps, seeds := l.opts.appNames(), l.opts.seeds()
+	p := l.newPlan()
+	p.add(apps, trace, baseline, withACC)
+	// One job per (app, seed) runs the ACC+Kagura cell and then the ideal
+	// oracle recorded on it.
+	oracles := make([]oracleRun, len(apps)*len(seeds))
+	var chains []func() error
+	for i, name := range apps {
+		for j, seed := range seeds {
+			slot := &oracles[i*len(seeds)+j]
+			chains = append(chains, func() (err error) {
+				*slot, err = l.kaguraAndIdeal(name, trace, seed)
+				return err
+			})
 		}
 	}
-	if err := l.warm(jobs); err != nil {
+	if err := p.run(chains...); err != nil {
 		return nil, err
 	}
-	for _, name := range l.opts.appNames() {
+	out := &Fig13Result{}
+	for i, name := range apps {
 		var row AppRow
 		row.App = name
 		var compACC, compKag int64
-		n := float64(len(l.opts.seeds()))
-		for _, seed := range l.opts.seeds() {
-			b, err := l.result(name, trace, seed, "base", cfgBase)
-			if err != nil {
-				return nil, err
-			}
-			a, err := l.result(name, trace, seed, "acc", cfgACC)
-			if err != nil {
-				return nil, err
-			}
-			k, err := l.result(name, trace, seed, "kagura", cfgKagura)
-			if err != nil {
-				return nil, err
-			}
-			ideal, err := l.idealResult(name, trace, seed)
-			if err != nil {
-				return nil, err
-			}
+		n := float64(len(seeds))
+		for j, seed := range seeds {
+			b := p.result(name, trace, seed, baseline)
+			a := p.result(name, trace, seed, withACC)
+			o := oracles[i*len(seeds)+j]
+			k, ideal := o.kagura, o.ideal
 			row.ACCSpeedup += a.Speedup(b) / n
 			row.KaguraSpeedup += k.Speedup(b) / n
 			row.IdealSpeedup += ideal.Speedup(b) / n
@@ -128,6 +120,61 @@ func (l *Lab) headline() (*Fig13Result, error) {
 	out.MeanCommittedACC /= cnt
 	out.MeanCommittedKagura /= cnt
 	return out, nil
+}
+
+// oracleRun is one (app, seed)'s ACC+Kagura result and its ideal-oracle
+// result.
+type oracleRun struct{ kagura, ideal *ehs.Result }
+
+// kaguraAndIdeal runs one (app, seed)'s ACC+Kagura cell, then Fig 13's ideal
+// intermittence-aware compressor: ACC whose compressions replay the
+// usefulness recorded on that ACC+Kagura run (§VIII-C). The cell runs with a
+// recording oracle attached; recording only observes, so its result is the
+// plain run's and its key comes from the oracle-free config. The ideal job
+// then runs only the replay. When the cell's result came from the cache or
+// from a coalesced job, nothing was recorded here, and the ideal job records
+// for itself. The ideal job's key derives from the record config, so
+// identical ideal runs memoize and coalesce like plain runs.
+func (l *Lab) kaguraAndIdeal(app, trace string, seed uint64) (oracleRun, error) {
+	record, err := l.config(app, trace, seed, cfgKagura)
+	if err != nil {
+		return oracleRun{}, err
+	}
+	replay, err := l.config(app, trace, seed, cfgACC)
+	if err != nil {
+		return oracleRun{}, err
+	}
+	key := simsvc.ConfigKey(record)
+	recordOn := func(ctx context.Context) (*ehs.Result, *ehs.Oracle, error) {
+		cfg := record
+		cfg.Oracle = ehs.NewOracle()
+		res, err := runSim(ctx, cfg)
+		return res, cfg.Oracle, err
+	}
+	var recorded *ehs.Oracle // set only if this call's cell job computed
+	k, err := l.do(simID{app, trace, seed, withKag.id}, key, func(ctx context.Context) (*ehs.Result, error) {
+		res, oracle, err := recordOn(ctx)
+		if err == nil {
+			recorded = oracle
+		}
+		return res, err
+	})
+	if err != nil {
+		return oracleRun{}, err
+	}
+	ideal, err := l.do(simID{app, trace, seed, "ideal"}, "ideal:"+key, func(ctx context.Context) (*ehs.Result, error) {
+		oracle := recorded
+		if oracle == nil {
+			var err error
+			if _, oracle, err = recordOn(ctx); err != nil {
+				return nil, err
+			}
+		}
+		replay := replay
+		replay.Oracle = oracle.Replay()
+		return runSim(ctx, replay)
+	})
+	return oracleRun{k, ideal}, err
 }
 
 // Fig13Performance reproduces Fig 13: speedup over the compressor-free
@@ -272,6 +319,12 @@ func (r *Fig18Result) Render() Table {
 	return t
 }
 
+// withCycleLog is the baseline with its per-power-cycle log collected.
+var withCycleLog = setup{"base+log", func(c ehs.Config) ehs.Config {
+	c.CollectCycleLog = true
+	return c
+}}
+
 // Fig12Row summarizes neighboring-power-cycle consistency for one app.
 type Fig12Row struct {
 	App string
@@ -292,20 +345,18 @@ type Fig12Result struct {
 // Fig12CycleConsistency reproduces Fig 12: how similar are neighboring power
 // cycles in committed loads, stores, and CPI?
 func (l *Lab) Fig12CycleConsistency() (*Fig12Result, error) {
-	out := &Fig12Result{}
 	trace := l.opts.traceName()
+	p, err := l.simulate(l.opts.appNames(), trace, withCycleLog)
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig12Result{}
 	for _, name := range l.opts.appNames() {
 		var row Fig12Row
 		row.App = name
 		var loads, stores, cpis []float64
 		for _, seed := range l.opts.seeds() {
-			res, err := l.result(name, trace, seed, "base+log", func(c ehs.Config) (ehs.Config, error) {
-				c.CollectCycleLog = true
-				return c, nil
-			})
-			if err != nil {
-				return nil, err
-			}
+			res := p.result(name, trace, seed, withCycleLog)
 			for i := 1; i < len(res.Cycles); i++ {
 				prev, cur := res.Cycles[i-1], res.Cycles[i]
 				loads = append(loads, relDiff(float64(cur.Loads), float64(prev.Loads)))
@@ -392,19 +443,16 @@ type Fig14Result struct{ Rows []Fig14Row }
 // Fig14CycleLengths reproduces Fig 14: the distribution of power-cycle
 // lengths (in committed instructions) per application.
 func (l *Lab) Fig14CycleLengths() (*Fig14Result, error) {
-	out := &Fig14Result{}
 	trace := l.opts.traceName()
+	p, err := l.simulate(l.opts.appNames(), trace, withCycleLog)
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig14Result{}
 	for _, name := range l.opts.appNames() {
 		var lengths []float64
 		for _, seed := range l.opts.seeds() {
-			res, err := l.result(name, trace, seed, "base+log", func(c ehs.Config) (ehs.Config, error) {
-				c.CollectCycleLog = true
-				return c, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, c := range res.Cycles {
+			for _, c := range p.result(name, trace, seed, withCycleLog).Cycles {
 				lengths = append(lengths, float64(c.Committed))
 			}
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"kagura/internal/capacitor"
 	"kagura/internal/compress"
 	"kagura/internal/ehs"
 	"kagura/internal/kagura"
@@ -37,65 +36,99 @@ func (r *SweepResult) Render() Table {
 	return t
 }
 
-// meanSpeedupOverApps averages a variant-vs-base speedup over the given apps
-// and the lab's seeds.
-func (l *Lab) meanSpeedupOverApps(apps []string, baseID string, baseFn configFn, varID string, varFn configFn) (float64, error) {
-	trace := l.opts.traceName()
-	var jobs []func() error
-	for _, app := range apps {
-		app := app
-		for _, seed := range l.opts.seeds() {
-			seed := seed
-			jobs = append(jobs,
-				func() error { _, err := l.result(app, trace, seed, baseID, baseFn); return err },
-				func() error { _, err := l.result(app, trace, seed, varID, varFn); return err },
-			)
+// cell is one value of a sweep: variant's speedup over base, averaged over
+// the lab's seeds per app and then over the subset apps, on trace ("" ⇒ the
+// lab's trace).
+type cell struct {
+	trace         string
+	base, variant setup
+}
+
+// overBase is the cell of variant against the plain baseline.
+func overBase(id string, fn configFn) cell {
+	return cell{base: baseline, variant: setup{id, fn}}
+}
+
+// kaguraOver is the cell of ACC+Kagura against its own baseline, both built
+// on fn; tag names the setting in both ids.
+func kaguraOver(tag string, fn configFn) cell {
+	return cell{base: setup{"base:" + tag, fn}, variant: setup{"kagura:" + tag, then(fn, cfgKagura)}}
+}
+
+// row is one swept setting: its label and one cell per result column.
+type row struct {
+	label string
+	cells []cell
+}
+
+// sweep fills out's rows. Every cell's simulations run in one fan-out, then
+// each cell averages: the speedup summed over seeds and divided per app,
+// then the mean over apps.
+func (l *Lab) sweep(out *SweepResult, rows []row) (*SweepResult, error) {
+	apps := l.opts.subsetNames()
+	trace := func(c cell) string {
+		if c.trace == "" {
+			return l.opts.traceName()
+		}
+		return c.trace
+	}
+	p := l.newPlan()
+	for _, r := range rows {
+		for _, c := range r.cells {
+			p.add(apps, trace(c), c.base, c.variant)
 		}
 	}
-	if err := l.warm(jobs); err != nil {
-		return 0, err
+	if err := p.run(); err != nil {
+		return nil, err
 	}
-	var xs []float64
-	for _, app := range apps {
-		s, err := l.avgSpeedup(app, trace, baseID, baseFn, varID, varFn)
-		if err != nil {
-			return 0, err
+	for _, r := range rows {
+		speedups := make([]float64, len(r.cells))
+		for i, c := range r.cells {
+			xs := make([]float64, len(apps))
+			for j, app := range apps {
+				xs[j] = p.speedup(app, trace(c), c.base, c.variant)
+			}
+			speedups[i] = mean(xs)
 		}
-		xs = append(xs, s)
+		out.Labels = append(out.Labels, r.label)
+		out.Speedups = append(out.Speedups, speedups)
 	}
-	return mean(xs), nil
+	return out, nil
+}
+
+// cacheBytes sets both caches to size bytes.
+func cacheBytes(size int) configFn {
+	return func(c ehs.Config) ehs.Config {
+		c.ICache.SizeBytes = size
+		c.DCache.SizeBytes = size
+		return c
+	}
+}
+
+// capacitance sets the energy buffer to uf microfarads.
+func capacitance(uf float64) configFn {
+	return func(c ehs.Config) ehs.Config {
+		c.Capacitor = c.Capacitor.WithCapacitance(uf * 1e-6)
+		return c
+	}
 }
 
 // Fig01CacheSizeDilemma reproduces Fig 1: baseline (no compression) speedup
 // across cache sizes, normalized to the 256B configuration. Small caches
 // thrash; large caches leak the capacitor dry.
 func (l *Lab) Fig01CacheSizeDilemma() (*SweepResult, error) {
-	sizes := []int{128, 256, 512, 1024, 2048, 4096}
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	ref := setup{"base:size256", cfgBase} // default is 256B
+	var rows []row
+	for _, size := range []int{128, 256, 512, 1024, 2048, 4096} {
+		variant := setup{fmt.Sprintf("base:size%d", size), cacheBytes(size)}
+		rows = append(rows, row{fmt.Sprintf("%dB", size), []cell{{base: ref, variant: variant}}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig01",
 		Title:   "Baseline speedup vs cache size (normalized to 256B ICache+DCache)",
 		Configs: []string{"no-compressor"},
 		Notes:   []string{"paper: performance peaks at 256B; both smaller (misses) and larger (leakage) lose"},
-	}
-	for _, size := range sizes {
-		size := size
-		id := fmt.Sprintf("base:size%d", size)
-		fn := func(c ehs.Config) (ehs.Config, error) {
-			c.ICache.SizeBytes = size
-			c.DCache.SizeBytes = size
-			return c, nil
-		}
-		s, err := l.meanSpeedupOverApps(apps, "base:size256", func(c ehs.Config) (ehs.Config, error) {
-			return c, nil // default is 256B
-		}, id, fn)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, fmt.Sprintf("%dB", size))
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig17Result relates Kagura's gain to arithmetic intensity.
@@ -108,20 +141,21 @@ type Fig17Result struct {
 // Fig17ArithmeticIntensity reproduces Fig 17: ACC+Kagura speedup versus
 // arithmetic intensity for six applications spanning the range.
 func (l *Lab) Fig17ArithmeticIntensity() (*Fig17Result, error) {
-	out := &Fig17Result{}
+	names := []string{"jpegd", "jpeg", "gsm", "susan", "patricia", "strings"}
 	trace := l.opts.traceName()
-	for _, name := range []string{"jpegd", "jpeg", "gsm", "susan", "patricia", "strings"} {
+	p, err := l.simulate(names, trace, baseline, withKag)
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig17Result{}
+	for _, name := range names {
 		app, err := l.app(name)
-		if err != nil {
-			return nil, err
-		}
-		s, err := l.avgSpeedup(name, trace, "base", cfgBase, "kagura", cfgKagura)
 		if err != nil {
 			return nil, err
 		}
 		out.Apps = append(out.Apps, name)
 		out.Intensity = append(out.Intensity, app.ArithmeticIntensity())
-		out.Speedup = append(out.Speedup, s)
+		out.Speedup = append(out.Speedup, p.speedup(name, trace, baseline, withKag))
 	}
 	return out, nil
 }
@@ -146,8 +180,22 @@ func (r *Fig17Result) Render() Table {
 // voltage-triggered) on the three EHS designs, each normalized to that
 // design's compressor-free configuration.
 func (l *Lab) Fig19DesignsAndTriggers() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	voltage := tunedKagura(func(kc *kagura.Config) { kc.Trigger = kagura.TriggerVoltage })
+	var rows []row
+	for _, design := range ehs.Designs() {
+		name := design.String()
+		onDesign := func(c ehs.Config) ehs.Config {
+			c.Design = design
+			return c
+		}
+		base := setup{"base:" + name, onDesign}
+		rows = append(rows, row{name, []cell{
+			{base: base, variant: setup{"acc:" + name, then(onDesign, cfgACC)}},
+			{base: base, variant: setup{"kagura-mem:" + name, then(onDesign, cfgKagura)}},
+			{base: base, variant: setup{"kagura-vol:" + name, then(onDesign, voltage)}},
+		}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig19",
 		Title:   "Trigger strategies across EHS designs (speedup over each design's own baseline)",
 		Configs: []string{"+ACC", "+ACC+Kagura(mem)", "+ACC+Kagura(vol)"},
@@ -155,458 +203,236 @@ func (l *Lab) Fig19DesignsAndTriggers() (*SweepResult, error) {
 			"paper: mem trigger gains 4.74/5.54/3.15% on NVSRAMCache/NvMR/SweepCache;",
 			"vol trigger matches on NVSRAMCache but degrades monitor-free designs",
 		},
-	}
-	for _, design := range ehs.Designs() {
-		design := design
-		base := func(c ehs.Config) (ehs.Config, error) {
-			c.Design = design
-			return c, nil
-		}
-		acc := func(c ehs.Config) (ehs.Config, error) {
-			c.Design = design
-			return c.WithACC(compress.BDI{}), nil
-		}
-		mem := func(c ehs.Config) (ehs.Config, error) {
-			c.Design = design
-			return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-		}
-		vol := func(c ehs.Config) (ehs.Config, error) {
-			c.Design = design
-			kc := kagura.DefaultConfig()
-			kc.Trigger = kagura.TriggerVoltage
-			return c.WithACC(compress.BDI{}).WithKagura(kc), nil
-		}
-		baseID := "base:" + design.String()
-		var row []float64
-		for _, v := range []struct {
-			id string
-			fn configFn
-		}{
-			{"acc:" + design.String(), acc},
-			{"kagura-mem:" + design.String(), mem},
-			{"kagura-vol:" + design.String(), vol},
-		} {
-			s, err := l.meanSpeedupOverApps(apps, baseID, base, v.id, v.fn)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, s)
-		}
-		out.Labels = append(out.Labels, design.String())
-		out.Speedups = append(out.Speedups, row)
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig20CacheManagements reproduces Fig 20: EDBP (cache decay dead-block
 // prediction) and IPEX (intermittence-aware prefetching) alone and combined
 // with ACC+Kagura, over the plain baseline.
 func (l *Lab) Fig20CacheManagements() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	const decayCycles = 3000
+	var rows []row
+	for _, v := range []struct {
+		label string
+		alone configFn
+	}{
+		{"EDBP", func(c ehs.Config) ehs.Config {
+			c.DecayInterval = decayCycles
+			return c
+		}},
+		{"IPEX", func(c ehs.Config) ehs.Config {
+			c.Prefetch = true
+			return c
+		}},
+	} {
+		rows = append(rows, row{v.label, []cell{
+			overBase(v.label, v.alone),
+			overBase(v.label+"+kagura", then(v.alone, cfgKagura)),
+		}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig20",
 		Title:   "Kagura combined with other intermittence-aware cache managements",
 		Configs: []string{"alone", "+ACC+Kagura"},
 		Notes:   []string{"paper: EDBP 5.32% → 12.14% with ACC+Kagura; IPEX 12.73% → 18.37%"},
-	}
-	const decayCycles = 3000
-	variants := []struct {
-		label string
-		alone configFn
-		combo configFn
-	}{
-		{
-			"EDBP",
-			func(c ehs.Config) (ehs.Config, error) {
-				c.DecayInterval = decayCycles
-				return c, nil
-			},
-			func(c ehs.Config) (ehs.Config, error) {
-				c.DecayInterval = decayCycles
-				return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-			},
-		},
-		{
-			"IPEX",
-			func(c ehs.Config) (ehs.Config, error) {
-				c.Prefetch = true
-				return c, nil
-			},
-			func(c ehs.Config) (ehs.Config, error) {
-				c.Prefetch = true
-				return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-			},
-		},
-	}
-	for _, v := range variants {
-		alone, err := l.meanSpeedupOverApps(apps, "base", cfgBase, v.label, v.alone)
-		if err != nil {
-			return nil, err
-		}
-		combo, err := l.meanSpeedupOverApps(apps, "base", cfgBase, v.label+"+kagura", v.combo)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, v.label)
-		out.Speedups = append(out.Speedups, []float64{alone, combo})
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig21AdaptationSchemes reproduces Fig 21: the four R_thres adaptation
 // policies.
 func (l *Lab) Fig21AdaptationSchemes() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, p := range []kagura.Policy{kagura.AIMD, kagura.MIAD, kagura.AIAD, kagura.MIMD} {
+		fn := tunedKagura(func(kc *kagura.Config) { kc.Policy = p })
+		rows = append(rows, row{p.String(), []cell{overBase("kagura:"+p.String(), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig21",
 		Title:   "R_thres adaptation schemes (ACC+Kagura speedup over baseline)",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: AIMD best; multiplicative increase suppresses useful compressions"},
-	}
-	for _, p := range []kagura.Policy{kagura.AIMD, kagura.MIAD, kagura.AIAD, kagura.MIMD} {
-		p := p
-		fn := func(c ehs.Config) (ehs.Config, error) {
-			kc := kagura.DefaultConfig()
-			kc.Policy = p
-			return c.WithACC(compress.BDI{}).WithKagura(kc), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps, "base", cfgBase, "kagura:"+p.String(), fn)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, p.String())
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig22IncreaseStep reproduces Fig 22: sensitivity to the additive increase
 // step of R_thres.
 func (l *Lab) Fig22IncreaseStep() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, step := range []float64{0.05, 0.10, 0.15, 0.20} {
+		fn := tunedKagura(func(kc *kagura.Config) { kc.IncreaseStep = step })
+		rows = append(rows, row{fmt.Sprintf("%.0f%%", step*100), []cell{overBase(fmt.Sprintf("kagura:step%.2f", step), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig22",
 		Title:   "R_thres additive increase step",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: 10% balances energy saving and compression efficiency"},
+	}, rows)
+}
+
+// codecRows are Fig 23's rows for codecs: ACC and ACC+Kagura with each.
+func codecRows(codecs []compress.Codec) []row {
+	var rows []row
+	for _, codec := range codecs {
+		acc := func(c ehs.Config) ehs.Config { return c.WithACC(codec) }
+		kag := func(c ehs.Config) ehs.Config { return c.WithACC(codec).WithKagura(kagura.DefaultConfig()) }
+		rows = append(rows, row{codec.Name(), []cell{
+			overBase("acc:"+codec.Name(), acc),
+			overBase("kagura:"+codec.Name(), kag),
+		}})
 	}
-	for _, step := range []float64{0.05, 0.10, 0.15, 0.20} {
-		step := step
-		fn := func(c ehs.Config) (ehs.Config, error) {
-			kc := kagura.DefaultConfig()
-			kc.IncreaseStep = step
-			return c.WithACC(compress.BDI{}).WithKagura(kc), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps, "base", cfgBase, fmt.Sprintf("kagura:step%.2f", step), fn)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, fmt.Sprintf("%.0f%%", step*100))
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	return rows
 }
 
 // Fig23Compressors reproduces Fig 23: ACC and ACC+Kagura with each of the
 // four compression algorithms.
 func (l *Lab) Fig23Compressors() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	return l.sweep(&SweepResult{
 		ID:      "fig23",
 		Title:   "Compression algorithms",
 		Configs: []string{"+ACC", "+ACC+Kagura"},
 		Notes:   []string{"paper: Kagura improves every algorithm (BDI 0.0022→4.74%, FPC 1.50→4.40%, C-Pack 0.99→4.10%, DZC 1.00→2.41%)"},
-	}
-	for _, codec := range compress.All() {
-		codec := codec
-		acc := func(c ehs.Config) (ehs.Config, error) { return c.WithACC(codec), nil }
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			return c.WithACC(codec).WithKagura(kagura.DefaultConfig()), nil
-		}
-		a, err := l.meanSpeedupOverApps(apps, "base", cfgBase, "acc:"+codec.Name(), acc)
-		if err != nil {
-			return nil, err
-		}
-		k, err := l.meanSpeedupOverApps(apps, "base", cfgBase, "kagura:"+codec.Name(), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, codec.Name())
-		out.Speedups = append(out.Speedups, []float64{a, k})
-	}
-	return out, nil
+	}, codecRows(compress.All()))
 }
 
 // Fig24CacheSizes reproduces Fig 24: ACC+Kagura across cache sizes,
 // normalized to the 128B compressor-free baseline.
 func (l *Lab) Fig24CacheSizes() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	ref := setup{"base:size128", cacheBytes(128)}
+	var rows []row
+	for _, size := range []int{128, 256, 512, 1024, 2048, 4096} {
+		rows = append(rows, row{fmt.Sprintf("%dB", size), []cell{
+			{base: ref, variant: setup{fmt.Sprintf("base:size%d", size), cacheBytes(size)}},
+			{base: ref, variant: setup{fmt.Sprintf("kagura:size%d", size), then(cacheBytes(size), cfgKagura)}},
+		}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig24",
 		Title:   "Cache sizes (speedup over 128B compressor-free baseline)",
 		Configs: []string{"no-compressor", "+ACC+Kagura"},
 		Notes:   []string{"paper: Kagura helps at every size, most with small caches"},
-	}
-	ref := func(c ehs.Config) (ehs.Config, error) {
-		c.ICache.SizeBytes = 128
-		c.DCache.SizeBytes = 128
-		return c, nil
-	}
-	for _, size := range []int{128, 256, 512, 1024, 2048, 4096} {
-		size := size
-		plain := func(c ehs.Config) (ehs.Config, error) {
-			c.ICache.SizeBytes = size
-			c.DCache.SizeBytes = size
-			return c, nil
-		}
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			c.ICache.SizeBytes = size
-			c.DCache.SizeBytes = size
-			return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-		}
-		p, err := l.meanSpeedupOverApps(apps, "base:size128", ref, fmt.Sprintf("base:size%d", size), plain)
-		if err != nil {
-			return nil, err
-		}
-		k, err := l.meanSpeedupOverApps(apps, "base:size128", ref, fmt.Sprintf("kagura:size%d", size), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, fmt.Sprintf("%dB", size))
-		out.Speedups = append(out.Speedups, []float64{p, k})
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig25CacheWays reproduces Fig 25: associativity from direct-mapped to
 // 8-way at the default 256B size.
 func (l *Lab) Fig25CacheWays() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, ways := range []int{1, 2, 4, 8} {
+		fn := func(c ehs.Config) ehs.Config {
+			c.ICache.Ways = ways
+			c.DCache.Ways = ways
+			return c
+		}
+		rows = append(rows, row{fmt.Sprintf("%d-way", ways), []cell{kaguraOver(fmt.Sprintf("ways%d", ways), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig25",
 		Title:   "Cache associativity (ACC+Kagura speedup over same-geometry baseline)",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: consistent gains from direct-mapped to 8-way (4.74–5.73%)"},
-	}
-	for _, ways := range []int{1, 2, 4, 8} {
-		ways := ways
-		base := func(c ehs.Config) (ehs.Config, error) {
-			c.ICache.Ways = ways
-			c.DCache.Ways = ways
-			return c, nil
-		}
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			c.ICache.Ways = ways
-			c.DCache.Ways = ways
-			return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps,
-			fmt.Sprintf("base:ways%d", ways), base,
-			fmt.Sprintf("kagura:ways%d", ways), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, fmt.Sprintf("%d-way", ways))
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig26BlockSizes reproduces Fig 26: cache block sizes 16–64B.
 func (l *Lab) Fig26BlockSizes() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, bs := range []int{16, 32, 64} {
+		fn := func(c ehs.Config) ehs.Config {
+			c.ICache.BlockSize = bs
+			c.DCache.BlockSize = bs
+			return c
+		}
+		rows = append(rows, row{fmt.Sprintf("%dB", bs), []cell{kaguraOver(fmt.Sprintf("block%d", bs), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig26",
 		Title:   "Cache block sizes (ACC+Kagura speedup over same-geometry baseline)",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: good performance maintained from 16B to 64B blocks"},
-	}
-	for _, bs := range []int{16, 32, 64} {
-		bs := bs
-		base := func(c ehs.Config) (ehs.Config, error) {
-			c.ICache.BlockSize = bs
-			c.DCache.BlockSize = bs
-			return c, nil
-		}
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			c.ICache.BlockSize = bs
-			c.DCache.BlockSize = bs
-			return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps,
-			fmt.Sprintf("base:block%d", bs), base,
-			fmt.Sprintf("kagura:block%d", bs), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, fmt.Sprintf("%dB", bs))
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig27MemorySizes reproduces Fig 27: main-memory capacities 2–32MB.
 func (l *Lab) Fig27MemorySizes() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, mb := range []int{2, 4, 8, 16, 32} {
+		fn := func(c ehs.Config) ehs.Config {
+			c.NVM.SizeBytes = mb << 20
+			return c
+		}
+		rows = append(rows, row{fmt.Sprintf("%dMB", mb), []cell{kaguraOver(fmt.Sprintf("mem%d", mb), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig27",
 		Title:   "Main memory sizes (ACC+Kagura speedup over same-size baseline)",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: gains shrink slightly as NVM grows (4.22% at 2MB → 3.69% at 32MB)"},
-	}
-	for _, mb := range []int{2, 4, 8, 16, 32} {
-		mb := mb
-		base := func(c ehs.Config) (ehs.Config, error) {
-			c.NVM.SizeBytes = mb << 20
-			return c, nil
-		}
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			c.NVM.SizeBytes = mb << 20
-			return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps,
-			fmt.Sprintf("base:mem%d", mb), base,
-			fmt.Sprintf("kagura:mem%d", mb), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, fmt.Sprintf("%dMB", mb))
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig28MemoryTypes reproduces Fig 28: ReRAM, PCM, and STT-RAM main memories.
 func (l *Lab) Fig28MemoryTypes() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, kind := range []nvm.Kind{nvm.ReRAM, nvm.PCM, nvm.STTRAM} {
+		fn := func(c ehs.Config) ehs.Config {
+			c.NVM.Params = nvm.ParamsFor(kind)
+			return c
+		}
+		rows = append(rows, row{kind.String(), []cell{kaguraOver(kind.String(), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig28",
 		Title:   "NVM technologies (ACC+Kagura speedup over same-technology baseline)",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: promising speedups on every NVM (4.67% PCM, 4.68% STT-RAM)"},
-	}
-	for _, kind := range []nvm.Kind{nvm.ReRAM, nvm.PCM, nvm.STTRAM} {
-		kind := kind
-		base := func(c ehs.Config) (ehs.Config, error) {
-			c.NVM.Params = nvm.ParamsFor(kind)
-			return c, nil
-		}
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			c.NVM.Params = nvm.ParamsFor(kind)
-			return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps,
-			"base:"+kind.String(), base,
-			"kagura:"+kind.String(), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, kind.String())
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig29CapacitorSizes reproduces Fig 29: energy-buffer capacitances from
 // 0.47µF to 1000µF, each configuration's Kagura gain over the same-capacitor
 // baseline.
 func (l *Lab) Fig29CapacitorSizes() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, uf := range []float64{0.47, 1, 4.7, 10, 100} {
+		rows = append(rows, row{fmt.Sprintf("%.2fµF", uf), []cell{kaguraOver(fmt.Sprintf("cap%.2f", uf), capacitance(uf))}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig29",
 		Title:   "Capacitor sizes (ACC+Kagura speedup over same-capacitor baseline)",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: benefit peaks around the default 4.7µF; tiny capacitors give compression few chances, huge ones few outages"},
-	}
-	for _, uf := range []float64{0.47, 1, 4.7, 10, 100} {
-		uf := uf
-		base := func(c ehs.Config) (ehs.Config, error) {
-			c.Capacitor = c.Capacitor.WithCapacitance(uf * 1e-6)
-			return c, nil
-		}
-		kag := func(c ehs.Config) (ehs.Config, error) {
-			c.Capacitor = c.Capacitor.WithCapacitance(uf * 1e-6)
-			return c.WithACC(compress.BDI{}).WithKagura(kagura.DefaultConfig()), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps,
-			fmt.Sprintf("base:cap%.2f", uf), base,
-			fmt.Sprintf("kagura:cap%.2f", uf), kag)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, fmt.Sprintf("%.2fµF", uf))
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // Fig30PowerTraces reproduces Fig 30: the three ambient sources.
 func (l *Lab) Fig30PowerTraces() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, trace := range []string{"RFHome", "Solar", "Thermal"} {
+		rows = append(rows, row{trace, []cell{{trace: trace, base: baseline, variant: withKag}}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "fig30",
 		Title:   "Ambient power traces (ACC+Kagura speedup over same-trace baseline)",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: 4.74% RFHome, 4.58% solar, 4.54% thermal"},
-	}
-	for _, trace := range []string{"RFHome", "Solar", "Thermal"} {
-		var xs []float64
-		for _, app := range apps {
-			s, err := l.avgSpeedupOnTrace(app, trace)
-			if err != nil {
-				return nil, err
-			}
-			xs = append(xs, s)
-		}
-		out.Labels = append(out.Labels, trace)
-		out.Speedups = append(out.Speedups, []float64{mean(xs)})
-	}
-	return out, nil
-}
-
-// avgSpeedupOnTrace averages kagura-vs-base speedup on a specific trace.
-func (l *Lab) avgSpeedupOnTrace(app, trace string) (float64, error) {
-	var sum float64
-	seeds := l.opts.seeds()
-	for _, seed := range seeds {
-		b, err := l.result(app, trace, seed, "base", cfgBase)
-		if err != nil {
-			return 0, err
-		}
-		k, err := l.result(app, trace, seed, "kagura", cfgKagura)
-		if err != nil {
-			return 0, err
-		}
-		sum += k.Speedup(b)
-	}
-	return sum / float64(len(seeds)), nil
+	}, rows)
 }
 
 // TableIIHistoryDepth reproduces Table II: the number of past power cycles
 // feeding the memory-operation estimate (weighted average).
 func (l *Lab) TableIIHistoryDepth() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, depth := range []int{1, 2, 3, 4} {
+		fn := tunedKagura(func(kc *kagura.Config) { kc.HistoryDepth = depth })
+		rows = append(rows, row{fmt.Sprintf("%d", depth), []cell{overBase(fmt.Sprintf("kagura:hist%d", depth), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "table2",
 		Title:   "Power cycles used for memory-operation estimation",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: 1 cycle is best (4.74%), falling to 2.60% with 4 cycles"},
-	}
-	for _, depth := range []int{1, 2, 3, 4} {
-		depth := depth
-		fn := func(c ehs.Config) (ehs.Config, error) {
-			kc := kagura.DefaultConfig()
-			kc.HistoryDepth = depth
-			return c.WithACC(compress.BDI{}).WithKagura(kc), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps, "base", cfgBase, fmt.Sprintf("kagura:hist%d", depth), fn)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, fmt.Sprintf("%d", depth))
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
 
 // TableIIIResult is the capacitor-leakage share study.
@@ -619,25 +445,25 @@ type TableIIIResult struct {
 // capacitor leakage across buffer sizes.
 func (l *Lab) TableIIICapLeakage() (*TableIIIResult, error) {
 	apps := l.opts.subsetNames()
-	out := &TableIIIResult{}
 	trace := l.opts.traceName()
-	for _, uf := range []float64{0.47, 1, 4.7, 10, 100, 1000} {
-		uf := uf
-		fn := func(c ehs.Config) (ehs.Config, error) {
-			c.Capacitor = c.Capacitor.WithCapacitance(uf * 1e-6)
-			return c, nil
-		}
+	caps := []float64{0.47, 1, 4.7, 10, 100, 1000}
+	setups := make([]setup, len(caps))
+	for i, uf := range caps {
+		setups[i] = setup{fmt.Sprintf("base:cap%.2f", uf), capacitance(uf)}
+	}
+	p, err := l.simulate(apps, trace, setups...)
+	if err != nil {
+		return nil, err
+	}
+	out := &TableIIIResult{CapsUF: caps}
+	for _, s := range setups {
 		var shares []float64
 		for _, app := range apps {
 			for _, seed := range l.opts.seeds() {
-				res, err := l.result(app, trace, seed, fmt.Sprintf("base:cap%.2f", uf), fn)
-				if err != nil {
-					return nil, err
-				}
+				res := p.result(app, trace, seed, s)
 				shares = append(shares, res.CapacitorLeakJoules/res.Energy.Total())
 			}
 		}
-		out.CapsUF = append(out.CapsUF, uf)
 		out.Shares = append(out.Shares, mean(shares))
 	}
 	return out, nil
@@ -661,29 +487,15 @@ func (r *TableIIIResult) Render() Table {
 
 // TableIVCounterBits reproduces Table IV: confidence counter widths.
 func (l *Lab) TableIVCounterBits() (*SweepResult, error) {
-	apps := l.opts.subsetNames()
-	out := &SweepResult{
+	var rows []row
+	for _, bits := range []int{1, 2, 3} {
+		fn := tunedKagura(func(kc *kagura.Config) { kc.CounterBits = bits })
+		rows = append(rows, row{fmt.Sprintf("%d bits", bits), []cell{overBase(fmt.Sprintf("kagura:bits%d", bits), fn)}})
+	}
+	return l.sweep(&SweepResult{
 		ID:      "table4",
 		Title:   "Confidence counter width",
 		Configs: []string{"+ACC+Kagura"},
 		Notes:   []string{"paper: 2 bits best (4.74%) vs 3.98% (1 bit) and 4.21% (3 bits)"},
-	}
-	for _, bits := range []int{1, 2, 3} {
-		bits := bits
-		fn := func(c ehs.Config) (ehs.Config, error) {
-			kc := kagura.DefaultConfig()
-			kc.CounterBits = bits
-			return c.WithACC(compress.BDI{}).WithKagura(kc), nil
-		}
-		s, err := l.meanSpeedupOverApps(apps, "base", cfgBase, fmt.Sprintf("kagura:bits%d", bits), fn)
-		if err != nil {
-			return nil, err
-		}
-		out.Labels = append(out.Labels, fmt.Sprintf("%d bits", bits))
-		out.Speedups = append(out.Speedups, []float64{s})
-	}
-	return out, nil
+	}, rows)
 }
-
-// capacitorDefault re-exports the default capacitor configuration for tests.
-var _ = capacitor.Default

@@ -75,8 +75,9 @@ const (
 	// indices submitted and the strategy's post-wave snapshot, enough to
 	// fast-forward a resumed run to the next wave.
 	TypeCampaignWave Type = 4
-	// TypeCampaignDone retires a campaign: its report was built, nothing to
-	// resume.
+	// TypeCampaignDone retires a campaign: its report was built, or one of
+	// its points panicked and would panic again. Either way there is
+	// nothing to resume.
 	TypeCampaignDone Type = 5
 )
 
