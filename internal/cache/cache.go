@@ -605,9 +605,6 @@ func (c *Cache) Access(addr uint32, write bool, wdata []byte, recompressOnWrite 
 	return res
 }
 
-// AccessInto is Access with a caller-provided result record. The simulator
-// performs one or two accesses per instruction; writing into a reusable
-// Result instead of returning ~50 bytes by value is measurable there.
 // ReadHitMRU is the read fast path: if addr hits the set's most-recently-used
 // line, it performs the access — identical stats, recency, and victim-scratch
 // recycling to AccessInto — and reports whether the line is compressed. A
@@ -646,6 +643,9 @@ func (c *Cache) ReadHitMRU(addr uint32, now int64) (compressed, ok bool) {
 	return ln.compressed, true
 }
 
+// AccessInto is Access with a caller-provided result record. The simulator
+// performs one or two accesses per instruction; writing into a reusable
+// Result instead of returning ~50 bytes by value is measurable there.
 func (c *Cache) AccessInto(res *Result, addr uint32, write bool, wdata []byte, recompressOnWrite bool, now int64) {
 	c.beginOp()
 	base := c.blockBase(addr)

@@ -63,6 +63,35 @@ func TestTraceOpenSpanExtendsToNow(t *testing.T) {
 	}
 }
 
+// TestTraceEndIsFinal: a job settled while the computation it started runs
+// on for other jobs (a canceled first submitter) has an ended trace; the
+// computation's later phase changes must not reopen it, or its spans would
+// no longer sum to the job's wall time.
+func TestTraceEndIsFinal(t *testing.T) {
+	tr := NewTrace(at(0))
+	tr.Begin(PhaseQueued, at(0))
+	tr.Begin(PhaseCompute, at(10))
+	tr.End(at(20))
+	tr.Begin(PhaseWarmStart, at(30))
+	tr.Begin(PhaseCompute, at(40))
+	tr.End(at(50))
+
+	spans := tr.Spans(at(60))
+	want := []Span{
+		{Phase: PhaseQueued, StartSeconds: 0, Seconds: 0.010},
+		{Phase: PhaseCompute, StartSeconds: 0.010, Seconds: 0.010},
+	}
+	if len(spans) != len(want) {
+		t.Fatalf("got %d spans after End, want %d: %+v", len(spans), len(want), spans)
+	}
+	for i, s := range spans {
+		if s.Phase != want[i].Phase || math.Abs(s.StartSeconds-want[i].StartSeconds) > 1e-9 ||
+			math.Abs(s.Seconds-want[i].Seconds) > 1e-9 {
+			t.Errorf("span %d = %+v, want %+v", i, s, want[i])
+		}
+	}
+}
+
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.Begin(PhaseQueued, at(0))

@@ -57,12 +57,15 @@ type span struct {
 // concurrent use; a nil *Trace is a valid no-op receiver, so instrumentation
 // sites never need nil checks. Spans are contiguous by construction — Begin
 // closes the open span at the same instant it opens the next — so the sum of
-// span durations equals last-end minus origin exactly.
+// span durations equals last-end minus origin exactly. End is final: a
+// computation still running for other jobs after this one settled cannot
+// reopen its trace.
 type Trace struct {
 	mu     sync.Mutex
 	origin time.Time
 	closed []span
 	open   bool
+	ended  bool
 	cur    span
 }
 
@@ -73,22 +76,26 @@ func NewTrace(origin time.Time) *Trace {
 }
 
 // Begin closes the open span (if any) at now and opens a new one in the
-// given phase.
+// given phase. It does nothing once the trace has ended.
 func (t *Trace) Begin(phase string, now time.Time) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ended {
+		return
+	}
 	if t.open {
 		t.cur.end = now
 		t.closed = append(t.closed, t.cur)
 	}
 	t.cur = span{phase: phase, start: now}
 	t.open = true
-	t.mu.Unlock()
 }
 
-// End closes the open span at now. A trace with no open span is unchanged.
+// End closes the open span at now and ends the trace: later Begins are
+// ignored. A trace with no open span keeps its spans.
 func (t *Trace) End(now time.Time) {
 	if t == nil {
 		return
@@ -99,6 +106,7 @@ func (t *Trace) End(now time.Time) {
 		t.closed = append(t.closed, t.cur)
 		t.open = false
 	}
+	t.ended = true
 	t.mu.Unlock()
 }
 

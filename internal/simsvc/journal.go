@@ -1,6 +1,6 @@
 // Journal write-through and crash replay. With Options.Journal set, the
-// service records *intent*: every job that wins a queue slot appends a
-// submit record, and every intent the caller saw resolved appends a settle.
+// service records *intent*: every cache entry that wins a queue slot appends
+// a submit record, and resolving that entry appends the settle.
 // The fold of those records — submits without settles — is exactly what a
 // restarted process must re-submit, and the content-addressed cache plus the
 // persistent store tier make that replay idempotent: a re-submitted job that
@@ -10,12 +10,15 @@
 //
 //   - success, and any failure while the service is serving, settle — the
 //     caller observed a terminal outcome, the intent is spent (this includes
-//     an explicit Cancel: replaying work the user killed would resurrect it);
+//     a Cancel of the last attached job: replaying work the user killed
+//     would resurrect it);
 //   - cancellation caused by shutdown does NOT settle — those jobs were
 //     abandoned mid-promise, and replaying them after restart is the point
 //     of the journal;
-//   - only queue-slot owners journal; coalesced waiters ride the owner's
-//     record, and a canceled owner hands its record to the promoted waiter.
+//   - the entry, not a job, carries the record: jobs attached to it ride
+//     the one submit, and the settle is appended when the entry resolves —
+//     when its computation returns, or at once when its last job is
+//     canceled. A job canceled while others remain settles nothing.
 package simsvc
 
 import (
@@ -59,22 +62,22 @@ func (s *Service) forkRecord(norm *RunSpec, key string, base *RunSpec, cycles in
 	return rec
 }
 
-// journalIntent appends a submit record for a job that just won a queue
-// slot, outside s.mu (the append is file IO). A very fast worker can finish
-// the job before the append lands; in that case the settle is issued here,
-// after the fact — the journal fold makes the late settle idempotent.
-func (s *Service) journalIntent(job *Job, rec journal.Record) {
+// journalIntent appends a submit record for an entry that just won a queue
+// slot, outside s.mu (the append is file IO). The entry can resolve before
+// the append lands — a fast worker, or a Cancel of its last job; in that
+// case the settle is issued here, after the fact — the journal fold makes
+// the late settle idempotent.
+func (s *Service) journalIntent(e *entry, rec journal.Record) {
 	if err := s.jnl.Append(rec); err != nil {
-		s.logEvent("journal.append.failed",
-			slog.String("job", job.id), slog.String("key", job.key), slog.String("error", err.Error()))
+		s.logEvent("journal.append.failed", slog.String("key", rec.Key), slog.String("error", err.Error()))
 		return
 	}
 	s.mu.Lock()
-	job.journaled = true
-	settle := terminalState(job.state) && s.settlesLocked(job.err)
+	e.journaled = true
+	settle := e.resolved() && s.settlesLocked(e.err)
 	s.mu.Unlock()
 	if settle {
-		s.journalSettle(job.key)
+		s.journalSettle(rec.Key)
 	}
 }
 

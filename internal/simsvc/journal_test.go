@@ -64,7 +64,7 @@ func openTestJournal(t *testing.T) (*journal.Journal, string) {
 }
 
 // waitPendingLen polls until the journal's pending fold reaches want, or the
-// deadline passes. Settle appends happen synchronously inside finishJob, but
+// deadline passes. Settle appends happen synchronously inside finishEntry, but
 // the submit append runs outside s.mu — a tiny window tests must absorb.
 func waitPendingLen(t *testing.T, jnl *journal.Journal, want int) {
 	t.Helper()
@@ -183,6 +183,50 @@ func TestJournalUserCancelSettles(t *testing.T) {
 	}
 	waitPendingLen(t, jnl, 1)
 	if err := svc.Cancel(job.ID()); err != nil {
+		t.Fatal(err)
+	}
+	waitPendingLen(t, jnl, 0)
+}
+
+// TestJournalIntentSurvivesCancelBeforeAppend: a submission registers its
+// job and queues its computation before it appends the intent record, and
+// a client can list the job (GET /v1/jobs) and cancel it (DELETE) in that
+// gap. If a coalesced job still waits on the queued computation, the
+// intent must stay pending after the append: settling it would lose the
+// computation to a crash before it runs. It settles once the computation
+// delivers.
+func TestJournalIntentSurvivesCancelBeforeAppend(t *testing.T) {
+	jnl, _ := openTestJournal(t)
+	svc := newTestService(t, Options{Workers: 1, Journal: jnl})
+	release := blockWorker(t, svc)
+
+	key, raw := specJSON(t, quickSpec())
+	compute := func(ctx context.Context) (*ehs.Result, error) {
+		return &ehs.Result{Completed: true}, nil
+	}
+	// Submit's first half: the job is registered and queued, its intent not
+	// yet appended.
+	first, e, err := svc.submitLocked(nil, key, compute, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiter, err := svc.submit(nil, key, compute, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Cancel(first.ID()); err != nil {
+		t.Fatal(err)
+	}
+	// Submit's second half.
+	svc.journalIntent(e, journal.Record{Type: journal.TypeJobSubmit, Key: key, Spec: raw})
+	if got := len(jnl.State().Pending); got != 1 {
+		t.Fatalf("journal holds %d pending intents while the waiter's computation is queued, want 1", got)
+	}
+
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := waiter.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	waitPendingLen(t, jnl, 0)

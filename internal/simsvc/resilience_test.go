@@ -110,10 +110,7 @@ func TestPlainErrorsNotRetried(t *testing.T) {
 }
 
 func TestLoadSheddingBreaker(t *testing.T) {
-	svc := newTestService(t, Options{
-		Workers: 1, QueueDepth: 10,
-		ShedHighWater: 0.5, ShedLowWater: 0.2,
-	})
+	svc := newTestService(t, Options{Workers: 1, QueueDepth: 10})
 	release := occupyWorker(t, svc) // hog also unblocks on ctx.Done at svc.Close
 
 	gate := make(chan struct{})
@@ -125,10 +122,10 @@ func TestLoadSheddingBreaker(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	// Fill the queue to the high-water mark (5 of 10); the next submission
-	// must be shed.
+	// Fill the queue to the high-water mark (shedHighWater × QueueDepth = 9
+	// of 10); the next submission must be shed.
 	var jobs []*Job
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 9; i++ {
 		job, err := svc.submit(nil, "shed-"+string(rune('a'+i)), blocker, 0, 0, nil)
 		if err != nil {
 			t.Fatalf("submit %d below high water failed: %v", i, err)
@@ -288,9 +285,9 @@ func TestCorruptWarmSnapshotDegradesToCold(t *testing.T) {
 
 // TestWarmOwnerFailureRetry covers the owner-failure path with an injected
 // fault instead of sleeps: the first snapshot computation fails, its job
-// degrades to a cold run, and the snapshot is recomputed (by the coalesced
-// waiter promoted to owner, or by a fresh owner) so the other job still
-// warm-starts. Runs under -race in CI.
+// degrades to a cold run, and the snapshot is recomputed (by the fork that
+// was waiting on it and takes over, or by a fresh one) so the other job
+// still warm-starts. Runs under -race in CI.
 func TestWarmOwnerFailureRetry(t *testing.T) {
 	armChaos(t, faultinject.Plan{Seed: 11, Rules: []faultinject.Rule{
 		{Point: "simsvc.warmstart.snapshot", Kind: faultinject.KindError, Nth: 1, Message: "owner failure"},
@@ -465,10 +462,7 @@ func TestHTTPInjectedBodyFault(t *testing.T) {
 // that the 503 carries a Retry-After header and overloaded code, and that
 // /readyz mirrors the breaker.
 func TestHTTPShedRetryAfter(t *testing.T) {
-	svc := New(Options{
-		Workers: 1, QueueDepth: 4,
-		ShedHighWater: 0.5, ShedLowWater: 0.25,
-	})
+	svc := New(Options{Workers: 1, QueueDepth: 4})
 	srv := httptest.NewServer(NewHandler(svc))
 	t.Cleanup(func() {
 		srv.Close()
@@ -486,8 +480,9 @@ func TestHTTPShedRetryAfter(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	// High water is max(1, 4*0.5) = 2 queued jobs; fill to it.
-	for i := 0; i < 2; i++ {
+	// High water is max(1, int(4 × shedHighWater)) = 3 queued jobs; fill to
+	// it.
+	for i := 0; i < 3; i++ {
 		if _, err := svc.submit(nil, "http-shed-"+string(rune('a'+i)), blocker, 0, 0, nil); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

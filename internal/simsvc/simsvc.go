@@ -7,18 +7,24 @@
 // two jobs with the same canonical configuration hash produce byte-identical
 // results, so the service executes each distinct configuration exactly once:
 // completed results are memoized, and identical in-flight submissions are
-// coalesced onto the running job instead of queued again.
+// coalesced onto the running computation instead of queued again.
 //
 // Architecture:
 //
 //	Submit/SubmitBatch/Do ──► cache lookup ──► hit: finish instantly
 //	                              │
-//	                              ├─► in flight: ride along as a waiter
+//	                              ├─► in flight: attach to the entry
 //	                              │
-//	                              └─► miss: bounded FIFO queue ──► worker pool
-//	                                                                │
-//	                                            per-job context ────┘
-//	                                        (timeout + cancellation)
+//	                              └─► miss: new entry ──► bounded FIFO queue ──► worker pool
+//	                                          │                                     │
+//	                                          └── compute, context (timeout + ───────┘
+//	                                              cancellation), attached jobs
+//
+// A Job is only a handle: the computation belongs to its in-flight cache
+// entry, which every identical submission shares. One cancel rule covers
+// every case: canceling a job (Cancel, or a Do/Run caller whose ctx ends)
+// settles that job alone, and an entry left with no live job is resolved as
+// canceled at once, its context canceled.
 //
 // The same scheduler serves two frontends: the JSON HTTP API (NewHandler,
 // cmd/kagura-serve) via RunSpec jobs, and programmatic clients
@@ -53,8 +59,8 @@ var (
 	// ErrQueueFull reports that the bounded job queue is at capacity.
 	ErrQueueFull = errors.New("simsvc: queue full")
 	// ErrOverloaded reports that the load-shedding breaker is open: queue
-	// occupancy crossed ShedHighWater and has not yet drained below
-	// ShedLowWater. It wraps ErrQueueFull so callers treating "no capacity"
+	// occupancy crossed shedHighWater and has not yet drained below
+	// shedLowWater. It wraps ErrQueueFull so callers treating "no capacity"
 	// uniformly keep working; HTTP maps it to 503 + Retry-After.
 	ErrOverloaded = fmt.Errorf("simsvc: overloaded, load shed: %w", ErrQueueFull)
 	// ErrUnknownJob reports a lookup of a job ID the service doesn't know
@@ -91,21 +97,12 @@ type Options struct {
 	// CacheCapacity bounds the memory cache to this many completed entries
 	// (default 4096), results and warm-start snapshots together; beyond it
 	// the least-recently-used completed entry is evicted and its next use
-	// recomputes (or reloads it from the store). In-flight entries — an owner
-	// still computing, with or without waiters — are never evicted and do
-	// not count against the bound. Negative means unbounded (one entry
+	// recomputes (or reloads it from the store). In-flight entries — a
+	// computation still running, whatever jobs it has attached — are never
+	// evicted and do not count against the bound. Negative means unbounded (one entry
 	// retained per distinct key, forever — an OOM under sustained
 	// unique-spec traffic).
 	CacheCapacity int
-
-	// ShedHighWater opens the load-shedding breaker when queue occupancy
-	// reaches this fraction of QueueDepth (default 0.9): submissions fail
-	// fast with ErrOverloaded instead of absorbing the last queue slots.
-	ShedHighWater float64
-	// ShedLowWater closes the breaker once occupancy drains below this
-	// fraction (default 0.5). The gap is hysteresis: the breaker does not
-	// flap at the boundary.
-	ShedLowWater float64
 
 	// StoreDir, when non-empty, enables the persistent tier: a crash-safe
 	// on-disk store (internal/store) under this directory that result-cache
@@ -162,53 +159,48 @@ func (o Options) withDefaults() Options {
 	if o.CacheCapacity < 0 {
 		o.CacheCapacity = 0 // negative means "unbounded"
 	}
-	if o.ShedHighWater <= 0 || o.ShedHighWater > 1 {
-		o.ShedHighWater = 0.9
-	}
-	if o.ShedLowWater <= 0 || o.ShedLowWater >= o.ShedHighWater {
-		o.ShedLowWater = o.ShedHighWater / 2
-	}
 	return o
 }
 
-// Job is one scheduled simulation. Fields are guarded by the service mutex
-// until done is closed; after that the result fields are immutable. A job
-// drops its compute closure when a worker takes it or when it settles
-// without running.
+// The load-shedding breaker opens when queue occupancy reaches shedHighWater
+// of QueueDepth: submissions then fail fast with ErrOverloaded instead of
+// absorbing the last queue slots. It closes once occupancy drains to
+// shedLowWater. The gap is hysteresis: the breaker does not flap at the
+// boundary.
+const (
+	shedHighWater = 0.9
+	shedLowWater  = 0.45
+)
+
+// Job is the handle of one submission: its identity, spec, trace and
+// outcome. The computation it resolves from belongs to its cache entry.
+// Fields are guarded by the service mutex until done is closed; after that
+// the outcome fields are immutable.
 type Job struct {
-	id      string
-	key     string
-	spec    *RunSpec // nil for programmatic (Do) jobs
-	compute func(context.Context) (*ehs.Result, error)
-	timeout time.Duration
+	id   string
+	key  string
+	spec *RunSpec // nil for programmatic (Do) jobs
 	// forkCycle is the warm-start provenance: non-zero when the job was
 	// submitted through a batch forkPoint, recording the base-run cycle its
 	// simulation resumed from.
 	forkCycle int64
+	done      chan struct{}
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	// trace is the job's phase timeline (queued → store → warm-start →
-	// compute), self-synchronized; GET /v1/jobs/{id} exposes it.
+	// trace is the job's phase timeline, self-synchronized; GET
+	// /v1/jobs/{id} exposes it. The first submitter's trace also records
+	// its computation (queued → store → warm-start → compute).
 	trace *obs.Trace
 
 	// Guarded by Service.mu until done closes.
-	state  State
-	cached bool
-	// fromStore marks a job served from the persistent tier, so its result
-	// is not written back to the disk it just came from.
-	fromStore bool
-	res       *ehs.Result
-	err       error
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	// journaled marks a job whose submit record reached the intent journal;
-	// only such jobs append settles. On owner promotion (Cancel) the flag
-	// transfers to the promoted waiter along with the cache entry.
-	journaled bool
+	state State
+	// cached marks a job that did not start the computation it resolved
+	// from: a cache hit, or a submission coalesced onto an in-flight twin.
+	cached   bool
+	res      *ehs.Result
+	err      error
+	created  time.Time
+	started  time.Time
+	finished time.Time
 }
 
 // ID returns the job's service-unique identifier.
@@ -267,17 +259,22 @@ type cacheKey struct {
 // resultKey is the cache identity of a job's result.
 func resultKey(key string) cacheKey { return cacheKey{kind: store.KindResult, key: key} }
 
-// entry is one cache slot, ready or in flight. Waiting is per kind: a result
-// entry in flight has an owner job with coalesced waiter jobs, resolved by
-// finishJobLocked; a snapshot entry in flight has a running fork computation
-// as owner, and other forks block on done (warmSnapshot).
+// entry is one cache slot of either kind, ready or in flight. An in-flight
+// entry is resolved exactly once, by resolveLocked, which publishes or
+// deletes it and closes done.
+//
+// An in-flight result entry owns its computation: the compute closure, its
+// context and timeout, the journal flag, and the jobs attached to it — the
+// first submitter, whose trace records the computation, and every identical
+// submission coalesced onto it. The worker queue holds these entries. A
+// snapshot entry is computed by the fork that created it; other forks wait
+// on done (warmSnapshot).
 type entry struct {
-	owner   *Job
-	waiters []*Job
-	done    chan struct{} // snapshot entries: closed once the owner settles
-	ready   bool
-	res     *ehs.Result   // result entries
-	snap    *ehs.Snapshot // snapshot entries
+	done  chan struct{}
+	ready bool
+	res   *ehs.Result   // result entries
+	snap  *ehs.Snapshot // snapshot entries
+	err   error         // the outcome, once resolved
 	// bytes is the estimated retained size of the value, booked against the
 	// kagura_cache_bytes gauge while the entry is listed.
 	bytes int
@@ -285,6 +282,28 @@ type entry struct {
 	// published. In-flight entries are never listed, which is what pins
 	// them against eviction.
 	elem *list.Element
+
+	// The computation of an in-flight result entry; cleared when it
+	// resolves. A worker takes compute when it starts the run.
+	first   *Job
+	jobs    []*Job // the live attached jobs, in submission order
+	compute func(context.Context) (*ehs.Result, error)
+	timeout time.Duration
+	ctx     context.Context
+	cancel  context.CancelFunc
+	// journaled marks an entry whose intent record reached the journal:
+	// resolving it appends the settle.
+	journaled bool
+}
+
+// resolved reports whether the entry has left flight.
+func (e *entry) resolved() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Service schedules simulation jobs on a bounded worker pool with a
@@ -293,7 +312,7 @@ type Service struct {
 	opts    Options
 	baseCtx context.Context
 	stop    context.CancelFunc
-	queue   chan *Job
+	queue   chan *entry
 	wg      sync.WaitGroup
 
 	mu     sync.Mutex
@@ -308,7 +327,7 @@ type Service struct {
 	finished []string // FIFO of terminal job IDs, for retention pruning
 	seq      uint64
 	met      metrics
-	// shedding is the load-shedding breaker state (see Options.ShedHighWater).
+	// shedding is the load-shedding breaker state (see shedHighWater).
 	shedding bool
 
 	// Persistent tier (nil unless Options.StoreDir is set and opened). The
@@ -333,7 +352,7 @@ func New(opts Options) *Service {
 		opts:    opts,
 		baseCtx: ctx,
 		stop:    cancel,
-		queue:   make(chan *Job, opts.QueueDepth),
+		queue:   make(chan *entry, opts.QueueDepth),
 		cache:   make(map[cacheKey]*entry),
 		lru:     list.New(),
 		jobs:    make(map[string]*Job),
@@ -363,29 +382,22 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 
 	// Shutdown ordering matters for crash-tolerance: settles are appended
-	// synchronously inside finishJob, so by the time wg.Wait returns every
-	// job a worker finished cleanly has its settle in the journal. Only then
+	// synchronously inside finishEntry, so by the time wg.Wait returns every
+	// entry a worker finished cleanly has its settle in the journal. Only then
 	// does the drain below abandon what's left in the queue (ErrClosed while
 	// closed does NOT settle — those intents replay after restart), and only
 	// after that does the store pump flush and close. A graceful SIGTERM
 	// therefore leaves a journal whose pending set is exactly the abandoned
 	// work: no spurious replays of jobs that settled on the way down.
-	s.stop() // cancels every job context derived from baseCtx
+	s.stop() // cancels every entry context derived from baseCtx
 	s.wg.Wait()
 
-	// Fail whatever is still sitting in the queue so waiters unblock. A slot
-	// may belong to a promoted waiter rather than the job that was enqueued
-	// (see Cancel); resolve it the same way a worker would.
+	// Fail whatever is still sitting in the queue so its jobs unblock.
 drain:
 	for {
 		select {
-		case job := <-s.queue:
-			s.mu.Lock()
-			job = s.slotOwnerLocked(job)
-			s.mu.Unlock()
-			if job != nil {
-				s.finishJob(job, nil, ErrClosed)
-			}
+		case e := <-s.queue:
+			s.finishEntry(e, nil, ErrClosed, false)
 		default:
 			break drain
 		}
@@ -455,8 +467,8 @@ func (s *Service) SubmitBatch(specs []RunSpec) ([]*Job, error) {
 // Do schedules compute under a caller-chosen content key and blocks for the
 // result: the programmatic entry point (experiments.Lab). The returned bool
 // reports whether the result came from the cache (including coalescing onto
-// an identical in-flight job). Canceling ctx abandons the wait AND cancels
-// the job if this call owns it and nobody else is coalesced onto it.
+// an identical in-flight job). Canceling ctx cancels the job as Cancel
+// does.
 func (s *Service) Do(ctx context.Context, key string, compute func(context.Context) (*ehs.Result, error)) (*ehs.Result, bool, error) {
 	// Do jobs carry an opaque closure the journal could not replay, so they
 	// are never journaled (nil record).
@@ -464,40 +476,39 @@ func (s *Service) Do(ctx context.Context, key string, compute func(context.Conte
 	if err != nil {
 		return nil, false, err
 	}
-	// Propagate caller cancellation into the job (no-op once it finished).
-	stop := context.AfterFunc(ctx, func() { s.cancelIfAlone(job) })
-	defer stop()
-	res, err := job.Wait(ctx)
-	if err != nil {
+	if err := s.await(ctx, job); err != nil {
 		return nil, false, err
 	}
-	s.mu.Lock()
-	cached := job.cached
-	s.mu.Unlock()
-	return res, cached, nil
+	return job.res, job.cached, nil
 }
 
 // Run schedules one spec and blocks for its result — the synchronous HTTP
-// path (POST /v1/run).
+// path (POST /v1/run). Canceling ctx cancels the job as Cancel does.
 func (s *Service) Run(ctx context.Context, spec RunSpec) (*RunResult, error) {
 	job, err := s.Submit(spec)
 	if err != nil {
 		return nil, err
 	}
-	// Abandoned synchronous requests only cancel jobs nobody else is
-	// waiting on; coalesced jobs keep running for their other waiters.
-	stop := context.AfterFunc(ctx, func() { s.cancelIfAlone(job) })
-	defer stop()
-	res, err := job.Wait(ctx)
-	if err != nil {
+	if err := s.await(ctx, job); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	cached := job.cached
-	s.mu.Unlock()
-	rr := NewRunResult(job.spec, job.key, cached, res)
+	rr := NewRunResult(job.spec, job.key, job.cached, job.res)
 	rr.WarmStartFromCycle = job.forkCycle
 	return rr, nil
+}
+
+// await blocks until job settles and returns its error. If ctx ends first
+// the job is withdrawn by Cancel's rule — it settles canceled at once, and
+// a computation no other job waits for is canceled — and ctx's error is
+// returned. Once await returns nil the job's outcome fields are immutable.
+func (s *Service) await(ctx context.Context, job *Job) error {
+	select {
+	case <-job.done:
+		return job.err
+	case <-ctx.Done():
+		s.withdraw(job)
+		return ctx.Err()
+	}
 }
 
 // Job returns a job's status snapshot by ID.
@@ -540,73 +551,49 @@ func (s *Service) Jobs() []JobStatus {
 	return out
 }
 
-// Cancel cancels a job by ID. Queued jobs fail immediately; running jobs
-// observe their context at the simulator's next cancellation check. The
-// underlying computation is only killed when no other submission is coalesced
-// onto it: canceling a waiter detaches just that waiter, canceling a queued
-// owner hands its place in line to the first waiter, and canceling a running
-// owner fails the job but lets the computation finish for the others.
-// Canceling an already-finished job is a no-op.
+// Cancel cancels a job by ID: the job settles as canceled at once and
+// detaches from its computation, which keeps running for any other job
+// attached to it. A computation left with no live job is canceled — a
+// queued one never runs, a running one observes its context at the
+// simulator's next cancellation check. Canceling an already-finished job is
+// a no-op.
 func (s *Service) Cancel(id string) error {
 	s.mu.Lock()
 	job, ok := s.jobs[id]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
+	s.withdraw(job)
+	return nil
+}
+
+// withdraw is the one cancel rule. A live job settles canceled and leaves
+// its entry's jobs; an entry left with none is resolved canceled, which
+// cancels its context and appends the journal settle it owes.
+func (s *Service) withdraw(job *Job) {
+	s.mu.Lock()
 	if terminalState(job.state) {
 		s.mu.Unlock()
-		return nil
+		return
 	}
-	now := time.Now()
-	e := s.cache[resultKey(job.key)]
-	switch {
-	case e == nil || (e.owner == job && len(e.waiters) == 0):
-		// Nobody else depends on this computation: kill it outright. A queued
-		// job resolves here; a running one when its compute observes the ctx.
-		queued := job.state == StateQueued
-		settleKey := ""
-		if queued {
-			settleKey = s.finishJobLocked(job, nil, context.Canceled, now)
+	// A live job's entry is in flight, and in-flight entries stay in the
+	// cache until they resolve.
+	k := resultKey(job.key)
+	e := s.cache[k]
+	for i, j := range e.jobs {
+		if j == job {
+			e.jobs = append(e.jobs[:i], e.jobs[i+1:]...)
+			break
 		}
-		s.mu.Unlock()
-		s.journalSettle(settleKey)
-		if !queued {
-			job.cancel()
-		}
-	case e.owner != job:
-		// Coalesced waiter: detach it (inside finishJobLocked) so the owner's
-		// completion doesn't resolve it a second time; the owner keeps going.
-		s.finishJobLocked(job, nil, context.Canceled, now)
-		s.mu.Unlock()
-	case job.state == StateQueued:
-		// Queued owner with waiters: promote the first waiter to owner before
-		// finishing, so the entry resolution sees a non-owner and leaves the
-		// entry alive. The promoted job inherits the canceled job's queue slot
-		// when a worker drains it (slotOwnerLocked) — and the canceled job's
-		// journal record: the intent is still being computed, so the settle
-		// responsibility moves with the entry rather than firing here.
-		e.owner, e.waiters = e.waiters[0], e.waiters[1:]
-		if job.journaled {
-			e.owner.journaled = true
-		}
-		s.finishJobLocked(job, nil, context.Canceled, now)
-		s.mu.Unlock()
-	default:
-		// Running owner with waiters: fail only this job's interest, leaving
-		// its context — and with it the in-flight computation — alive for the
-		// remaining waiters. finishJob delivers the outcome to them when the
-		// computation returns, and releases the context then.
-		s.met.jobsCanceled++
-		s.met.countError(CodeCanceled)
-		job.res, job.err, job.cached, job.finished = nil, context.Canceled, false, now
-		job.state = StateCanceled
-		job.trace.End(now)
-		close(job.done)
-		s.retainLocked(job)
-		s.mu.Unlock()
 	}
-	return nil
+	s.settleLocked(job, nil, context.Canceled, false, time.Now())
+	settleKey := ""
+	if len(e.jobs) == 0 {
+		settleKey = s.resolveLocked(k, e, context.Canceled, 0, nil)
+	}
+	s.mu.Unlock()
+	s.journalSettle(settleKey)
 }
 
 // statusLocked builds a snapshot; callers hold s.mu.
@@ -647,17 +634,17 @@ func (s *Service) statusLocked(job *Job) JobStatus {
 	return st
 }
 
-// submit registers a job and routes it: instant cache hit, coalesce onto an
-// in-flight twin, or enqueue for a worker. A job that wins a queue slot
-// writes its intent record (jr, when journaling is on) through the journal.
+// submit registers a job and routes it: instant cache hit, attach to an
+// in-flight twin, or a new entry queued for a worker. A new entry writes its
+// intent record (jr, when journaling is on) through the journal.
 func (s *Service) submit(spec *RunSpec, key string, compute func(context.Context) (*ehs.Result, error), timeout time.Duration, forkCycle int64, jr *journal.Record) (*Job, error) {
-	job, enqueued, err := s.submitLocked(spec, key, compute, timeout, forkCycle)
+	job, e, err := s.submitLocked(spec, key, compute, timeout, forkCycle)
 	if err != nil {
 		s.logEvent("job.reject", slog.String("key", key), slog.String("code", string(Classify(err))))
 		return nil, err
 	}
-	if enqueued && jr != nil {
-		s.journalIntent(job, *jr)
+	if e != nil && jr != nil {
+		s.journalIntent(e, *jr)
 	}
 	if s.opts.Logger != nil {
 		s.mu.Lock()
@@ -697,30 +684,26 @@ func (s *Service) logFinish(job *Job) {
 	s.opts.Logger.Info("job.finish", attrs...)
 }
 
-// submitLocked routes the job; the returned bool reports whether it won its
-// own queue slot (the only case that journals intent — cache hits and
-// coalesced waiters ride the owning submission's record).
-func (s *Service) submitLocked(spec *RunSpec, key string, compute func(context.Context) (*ehs.Result, error), timeout time.Duration, forkCycle int64) (*Job, bool, error) {
+// submitLocked routes the job. The returned entry is non-nil when the job
+// created one and won it a queue slot — the only case that journals intent;
+// cache hits and attached jobs ride the entry's record.
+func (s *Service) submitLocked(spec *RunSpec, key string, compute func(context.Context) (*ehs.Result, error), timeout time.Duration, forkCycle int64) (*Job, *entry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, false, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	s.seq++
 	job := &Job{
 		id:        fmt.Sprintf("job-%08d", s.seq),
 		key:       key,
 		spec:      spec,
-		compute:   compute,
-		timeout:   timeout,
 		forkCycle: forkCycle,
 		done:      make(chan struct{}),
 		state:     StateQueued,
 		created:   time.Now(),
 	}
 	job.trace = obs.NewTrace(job.created)
-	job.ctx, job.cancel = context.WithCancel(s.baseCtx)
-	s.jobs[job.id] = job
 
 	ck := resultKey(key)
 	e := s.cache[ck]
@@ -728,39 +711,37 @@ func (s *Service) submitLocked(spec *RunSpec, key string, compute func(context.C
 	case e != nil && e.ready:
 		s.lru.MoveToFront(e.elem)
 		job.trace.Begin(obs.PhaseCached, job.created)
-		s.met.jobsCached++
-		s.finishOneLocked(job, e.res, nil, true, job.created)
+		s.jobs[job.id] = job
+		s.settleLocked(job, e.res, nil, true, job.created)
+		return job, nil, nil
 	case e != nil:
 		if ierr := faultinject.SimsvcCoalesce.FireErr(); ierr != nil {
-			delete(s.jobs, job.id)
-			job.cancel()
 			s.met.countError(Classify(ierr))
-			return nil, false, ierr
+			return nil, nil, ierr
 		}
 		job.trace.Begin(obs.PhaseCoalesced, job.created)
-		e.waiters = append(e.waiters, job)
-	default:
-		if s.shedLocked() {
-			delete(s.jobs, job.id)
-			job.cancel()
-			s.met.jobsShed++
-			s.met.countError(CodeOverloaded)
-			return nil, false, ErrOverloaded
-		}
-		select {
-		case s.queue <- job:
-			job.trace.Begin(obs.PhaseQueued, job.created)
-			s.met.queueDepthHist.Observe(float64(len(s.queue)))
-			s.cache[ck] = &entry{owner: job}
-			return job, true, nil
-		default:
-			delete(s.jobs, job.id)
-			job.cancel()
-			s.met.countError(CodeQueueFull)
-			return nil, false, ErrQueueFull
-		}
+		e.jobs = append(e.jobs, job)
+		s.jobs[job.id] = job
+		return job, nil, nil
+	case s.shedLocked():
+		s.met.jobsShed++
+		s.met.countError(CodeOverloaded)
+		return nil, nil, ErrOverloaded
 	}
-	return job, false, nil
+	e = &entry{done: make(chan struct{}), first: job, jobs: []*Job{job}, compute: compute, timeout: timeout}
+	select {
+	case s.queue <- e:
+	default:
+		s.met.countError(CodeQueueFull)
+		return nil, nil, ErrQueueFull
+	}
+	// Workers read the entry under s.mu, which is still held.
+	e.ctx, e.cancel = context.WithCancel(s.baseCtx)
+	job.trace.Begin(obs.PhaseQueued, job.created)
+	s.met.queueDepthHist.Observe(float64(len(s.queue)))
+	s.cache[ck] = e
+	s.jobs[job.id] = job
+	return job, e, nil
 }
 
 // shedLocked evaluates and returns the load-shedding breaker: it opens when
@@ -768,11 +749,8 @@ func (s *Service) submitLocked(spec *RunSpec, key string, compute func(context.C
 // below the low-water mark. Callers hold s.mu.
 func (s *Service) shedLocked() bool {
 	depth := len(s.queue)
-	high := int(float64(s.opts.QueueDepth) * s.opts.ShedHighWater)
-	if high < 1 {
-		high = 1
-	}
-	low := int(float64(s.opts.QueueDepth) * s.opts.ShedLowWater)
+	high := max(int(float64(s.opts.QueueDepth)*shedHighWater), 1)
+	low := int(float64(s.opts.QueueDepth) * shedLowWater)
 	switch {
 	case !s.shedding && depth >= high:
 		s.shedding = true
@@ -826,84 +804,58 @@ func (s *Service) worker() {
 		select {
 		case <-s.baseCtx.Done():
 			return
-		case job := <-s.queue:
-			s.runJob(job)
+		case e := <-s.queue:
+			s.runEntry(e)
 		}
 	}
 }
 
-// cancelIfAlone cancels job's computation unless other submissions are
-// coalesced onto it: an abandoned caller must not fail the remaining waiters.
-func (s *Service) cancelIfAlone(job *Job) {
+// runEntry runs one queued entry's computation and resolves the entry. An
+// entry whose jobs all withdrew while it was queued is already resolved and
+// is skipped. The computation runs at most once: a failure — including a
+// recovered panic — resolves the entry at once, because the simulator is a
+// pure function and would fail the same way again.
+func (s *Service) runEntry(e *entry) {
 	s.mu.Lock()
-	e := s.cache[resultKey(job.key)]
-	alone := e == nil || (e.owner == job && len(e.waiters) == 0)
-	s.mu.Unlock()
-	if alone {
-		job.cancel()
-	}
-}
-
-// slotOwnerLocked resolves which job a dequeued queue slot should execute:
-// normally the dequeued job itself, but when Cancel promoted a coalesced
-// waiter to owner, the slot passes to the promoted job (which was never
-// enqueued itself — each cache entry holds exactly one slot). Returns nil for
-// a dead slot. Callers hold s.mu.
-func (s *Service) slotOwnerLocked(job *Job) *Job {
-	for job.state != StateQueued {
-		e := s.cache[resultKey(job.key)]
-		if e == nil || e.owner == nil || e.owner == job {
-			return nil
-		}
-		job = e.owner // follows promotion chains; ends at a queued job or cycles out
-	}
-	return job
-}
-
-// runJob executes one owned job and resolves its cache entry. The job runs
-// its compute at most once: a failure — including a recovered panic — settles
-// it at once, because the simulator is a pure function and would fail the
-// same way again.
-func (s *Service) runJob(job *Job) {
-	s.mu.Lock()
-	job = s.slotOwnerLocked(job)
-	if job == nil { // canceled while waiting, slot not handed to anyone
+	if e.resolved() {
 		s.mu.Unlock()
 		return
 	}
-	job.state = StateRunning
-	job.started = time.Now()
+	started := time.Now()
+	first := e.first
+	if !terminalState(first.state) {
+		first.state, first.started = StateRunning, started
+	}
 	var compute func(context.Context) (*ehs.Result, error)
-	compute, job.compute = job.compute, nil
-	s.met.queueNanos += job.started.Sub(job.created).Nanoseconds()
+	compute, e.compute = e.compute, nil
+	ctx := e.ctx
+	queued := started.Sub(first.created)
+	s.met.queueNanos += queued.Nanoseconds()
 	s.met.queueCount++
-	s.met.queueSecondsHist.Observe(job.started.Sub(job.created).Seconds())
+	s.met.queueSecondsHist.Observe(queued.Seconds())
 	s.mu.Unlock()
 
 	// Persistent-tier fall-through: a memory miss may still be on disk from
 	// a previous run (or process). A hit skips the simulation entirely; the
 	// result then publishes into the memory LRU like a computed one, but is
-	// not written back to the disk it came from (fromStore).
-	computeStart := job.started
+	// not written back to the disk it came from.
+	computeStart := started
 	if s.store != nil {
-		job.trace.Begin(obs.PhaseStore, job.started)
-		if res, ok := s.storeGetResult(job.key); ok {
-			s.mu.Lock()
-			job.fromStore = true
-			s.mu.Unlock()
-			s.finishJob(job, res, nil)
+		first.trace.Begin(obs.PhaseStore, started)
+		if res, ok := s.storeGetResult(first.key); ok {
+			s.finishEntry(e, res, nil, true)
 			return
 		}
 		computeStart = time.Now()
 	}
-	job.trace.Begin(obs.PhaseCompute, computeStart)
+	first.trace.Begin(obs.PhaseCompute, computeStart)
 
 	// Carry the trace so compute paths (warm-start snapshot resolution) can
 	// open their own phases inside the compute span.
-	ctx := obs.WithTrace(job.ctx, job.trace)
-	if job.timeout > 0 {
+	ctx = obs.WithTrace(ctx, first.trace)
+	if e.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.timeout)
+		ctx, cancel = context.WithTimeout(ctx, e.timeout)
 		defer cancel()
 	}
 	// The injection points run inside safeCompute's recover shield: an
@@ -921,7 +873,7 @@ func (s *Service) runJob(job *Job) {
 		}
 		return res, err
 	})
-	s.finishJob(job, res, err)
+	s.finishEntry(e, res, err, false)
 }
 
 // safeCompute shields the worker pool from panicking compute functions. The
@@ -944,126 +896,96 @@ func terminalState(st State) bool {
 	return st == StateDone || st == StateFailed || st == StateCanceled
 }
 
-// finishJob moves a job to a terminal state, publishes (or clears) the cache
-// entry it owns, resolves coalesced waiters, and — when the outcome retires
-// a journaled intent — appends the settle record after releasing the lock.
-func (s *Service) finishJob(job *Job, res *ehs.Result, err error) {
+// finishEntry resolves a result entry with its computation's outcome and
+// appends the journal settle it owes after releasing the lock. A result
+// read from the store (fromStore) is not written back to it. An entry
+// already resolved — every job withdrew — is left alone.
+func (s *Service) finishEntry(e *entry, res *ehs.Result, err error, fromStore bool) {
 	s.mu.Lock()
-	settleKey := s.finishJobLocked(job, res, err, time.Now())
+	if e.resolved() {
+		s.mu.Unlock()
+		return
+	}
+	first := e.first
+	var bytes int
+	var encode func() ([]byte, error)
+	if err == nil {
+		e.res = res
+		bytes = resultBytes(res)
+		s.met.resultBytesHist.Observe(float64(bytes))
+		if !fromStore {
+			encode = func() ([]byte, error) { return ckpt.EncodeResult(res) }
+		}
+	}
+	settleKey := s.resolveLocked(resultKey(first.key), e, err, bytes, encode)
 	s.mu.Unlock()
 	s.journalSettle(settleKey)
-	s.logFinish(job)
+	s.logFinish(first)
 }
 
-// finishJobLocked is finishJob with s.mu held. The returned key is non-empty
-// when the caller must append a journal settle for it (outside the lock).
-func (s *Service) finishJobLocked(job *Job, res *ehs.Result, err error, now time.Time) string {
-	ck := resultKey(job.key)
-	e := s.cache[ck]
-	ownsEntry := e != nil && e.owner == job
-	if terminalState(job.state) {
-		// The job was already resolved individually (Cancel), but if it still
-		// owns a live cache entry its computation ran on for the coalesced
-		// waiters: fall through to deliver the outcome to them.
-		if !ownsEntry {
-			return ""
-		}
+// resolveLocked takes an in-flight entry of either kind out of flight — the
+// one resolution path. Success publishes the value the caller set on e,
+// sized bytes and written through by encode; failure deletes the entry so a
+// later use recomputes. done closes, the computation's context is released,
+// and every job still attached settles with the outcome: the first
+// submitter as the job that ran it, the rest as cached. The returned key is
+// non-empty when the caller must append a journal settle for it (outside
+// the lock). Callers hold s.mu and resolve an entry at most once.
+func (s *Service) resolveLocked(k cacheKey, e *entry, err error, bytes int, encode func() ([]byte, error)) (settleKey string) {
+	now := time.Now()
+	e.err = err
+	if err == nil {
+		s.publishLocked(k, e, bytes, encode)
 	} else {
-		// Book the job's own outcome.
-		switch {
-		case err == nil:
-			s.met.jobsRun++
-			if !job.started.IsZero() {
-				s.met.runNanos += now.Sub(job.started).Nanoseconds()
-				s.met.runCount++
-				s.met.runSecondsHist.Observe(now.Sub(job.started).Seconds())
-			}
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			s.met.jobsCanceled++
-		default:
-			s.met.jobsFailed++
-		}
-		// A coalesced waiter finishing on its own (Cancel) detaches from its
-		// entry so the owner's completion doesn't resolve it a second time.
-		if e != nil && !ownsEntry {
-			for i, w := range e.waiters {
-				if w == job {
-					e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
-					break
-				}
-			}
-		}
+		delete(s.cache, k)
 	}
-
-	// Resolve the cache entry this job owns. Success publishes the result;
-	// failure clears the slot so a later submission can recompute. Coalesced waiters
-	// inherit the owner's outcome, successes counting as cache hits.
-	settleKey := ""
-	if ownsEntry {
-		// Entry resolution is the journal's settle point: the intent the
-		// submit record promised is now spent — unless shutdown abandoned it
-		// (see settlesLocked), in which case it stays pending for replay.
-		if job.journaled && s.settlesLocked(err) {
-			settleKey = job.key
-		}
-		waiters := e.waiters
-		if err == nil {
-			e.res, e.owner, e.waiters = res, nil, nil
-			bytes := resultBytes(res)
-			s.met.resultBytesHist.Observe(float64(bytes))
-			// Write the result through to the persistent tier — unless it
-			// was just served from there.
-			var encode func() ([]byte, error)
-			if !job.fromStore {
-				encode = func() ([]byte, error) { return ckpt.EncodeResult(res) }
-			}
-			s.publishLocked(ck, e, bytes, encode)
-		} else {
-			delete(s.cache, ck)
-		}
-		for _, w := range waiters {
-			switch {
-			case err == nil:
-				s.met.jobsCached++
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				s.met.jobsCanceled++
-			default:
-				s.met.jobsFailed++
-			}
-			s.finishOneLocked(w, res, err, err == nil, now)
-		}
+	close(e.done)
+	if e.cancel != nil {
+		e.cancel()
 	}
-	s.finishOneLocked(job, res, err, false, now)
-	job.cancel() // idempotent; also releases a detached owner's context once its computation returns
+	for _, job := range e.jobs {
+		s.settleLocked(job, e.res, err, job != e.first, now)
+	}
+	// Resolution is the journal's settle point: the intent the submit record
+	// promised is now spent — unless shutdown abandoned it (see
+	// settlesLocked), in which case it stays pending for replay.
+	if e.journaled && s.settlesLocked(err) {
+		settleKey = k.key
+	}
+	e.first, e.jobs, e.compute, e.ctx, e.cancel = nil, nil, nil, nil, nil
 	return settleKey
 }
 
-// finishOneLocked moves a single job to a terminal state — result fields,
-// done channel, context, retention — without touching its cache entry.
-// Already-terminal jobs are left untouched, so a job resolved individually
-// can never have its done channel closed twice. Dropping the compute closure
-// leaves a retained job holding its result, not what the caller captured.
-// Callers hold s.mu.
-func (s *Service) finishOneLocked(job *Job, res *ehs.Result, err error, cached bool, now time.Time) {
-	if terminalState(job.state) {
-		return
-	}
-	job.res, job.err, job.cached, job.finished = res, err, cached, now
-	job.compute = nil
+// settleLocked moves one live job to its terminal state and books it: a
+// success counts as run, or as cached when the job did not start the
+// computation. Callers hold s.mu.
+func (s *Service) settleLocked(job *Job, res *ehs.Result, err error, cached bool, now time.Time) {
+	job.res, job.err, job.cached, job.finished = res, err, cached && err == nil, now
 	switch {
 	case err == nil:
 		job.state = StateDone
+		if job.cached {
+			s.met.jobsCached++
+			break
+		}
+		s.met.jobsRun++
+		if !job.started.IsZero() {
+			s.met.runNanos += now.Sub(job.started).Nanoseconds()
+			s.met.runCount++
+			s.met.runSecondsHist.Observe(now.Sub(job.started).Seconds())
+		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		job.state = StateCanceled
+		s.met.jobsCanceled++
 	default:
 		job.state = StateFailed
+		s.met.jobsFailed++
 	}
 	if err != nil {
 		s.met.countError(Classify(err))
 	}
 	job.trace.End(now)
 	close(job.done)
-	job.cancel()
 	s.retainLocked(job)
 }
 

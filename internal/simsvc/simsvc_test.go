@@ -490,10 +490,11 @@ func TestCancelCoalescedWaiter(t *testing.T) {
 	}
 }
 
-// TestCancelQueuedOwnerPromotesWaiter: canceling a queued owner must not kill
-// the other clients' coalesced submissions — the first waiter inherits the
-// owner's queue slot and the computation still happens.
-func TestCancelQueuedOwnerPromotesWaiter(t *testing.T) {
+// TestCancelQueuedFirstSubmitterKeepsWaiter: canceling the queued first
+// submitter must not kill the other clients' coalesced submissions — the
+// queued computation belongs to the entry, which still has a live job, so
+// it still runs and its result is cached.
+func TestCancelQueuedFirstSubmitterKeepsWaiter(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 1})
 	release := occupyWorker(t, svc)
 	defer close(release)
@@ -515,10 +516,10 @@ func TestCancelQueuedOwnerPromotesWaiter(t *testing.T) {
 	release <- struct{}{}
 	res, err := waiter.Wait(context.Background())
 	if err != nil {
-		t.Fatalf("promoted waiter failed: %v", err)
+		t.Fatalf("waiter failed after the first submitter was canceled: %v", err)
 	}
 	if !res.Completed {
-		t.Fatal("promoted waiter's run did not complete")
+		t.Fatal("waiter's run did not complete")
 	}
 	// The result must have landed in the cache for later submissions.
 	again, err := svc.Run(context.Background(), quickSpec())
@@ -526,7 +527,7 @@ func TestCancelQueuedOwnerPromotesWaiter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !again.Cached {
-		t.Fatal("promoted run's result was not cached")
+		t.Fatal("the computation's result was not cached")
 	}
 }
 
@@ -576,6 +577,135 @@ func TestCancelRunningOwnerKeepsWaiters(t *testing.T) {
 	}
 	if !res.Completed {
 		t.Fatal("waiter result incomplete")
+	}
+}
+
+// waitRunning polls until job reaches the running state.
+func waitRunning(t *testing.T, svc *Service, job *Job) {
+	t.Helper()
+	deadline := time.After(2 * time.Second)
+	for {
+		if st, err := svc.Job(job.ID()); err == nil && st.State == StateRunning {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("job %s never started running", job.ID())
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestCancelLastJobCancelsComputation: once the running first submitter and
+// then its only coalesced waiter are canceled, no job is left to deliver
+// to, so the computation itself observes ctx.Done() — without its release
+// ever being sent.
+func TestCancelLastJobCancelsComputation(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	release := make(chan struct{})
+	defer close(release)
+	stopped := make(chan struct{})
+	block := func(ctx context.Context) (*ehs.Result, error) {
+		select {
+		case <-release:
+			return &ehs.Result{Completed: true}, nil
+		case <-ctx.Done():
+			close(stopped)
+			return nil, ctx.Err()
+		}
+	}
+	first, err := svc.submit(nil, "abandoned", block, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, svc, first)
+	waiter, err := svc.submit(nil, "abandoned", block, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Cancel(first.ID()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stopped:
+		t.Fatal("computation canceled while a waiter was still attached")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := svc.Cancel(waiter.ID()); err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []*Job{first, waiter} {
+		if _, err := job.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("job %s err = %v, want context.Canceled", job.ID(), err)
+		}
+	}
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("computation with no live job left never observed ctx.Done()")
+	}
+	// The canceled computation leaves nothing behind: the key recomputes.
+	res, hit, err := svc.Do(context.Background(), "abandoned", instantCompute(&ehs.Result{Completed: true}))
+	if err != nil || hit || !res.Completed {
+		t.Fatalf("resubmission after cancel: res=%v hit=%t err=%v, want a fresh run", res, hit, err)
+	}
+}
+
+// TestAbandonedDoSettlesCanceledAtOnce: a Do whose ctx ends withdraws its
+// job by Cancel's rule. The job settles canceled at once, while the
+// computation, which still has a coalesced job attached, runs on for it.
+func TestAbandonedDoSettlesCanceledAtOnce(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	release := make(chan struct{})
+	block := func(ctx context.Context) (*ehs.Result, error) {
+		select {
+		case <-release:
+			return &ehs.Result{Completed: true}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	doErr := make(chan error, 1)
+	go func() {
+		_, _, err := svc.Do(ctx, "shared-do", block)
+		doErr <- err
+	}()
+	var doJob *Job
+	deadline := time.After(2 * time.Second)
+	for doJob == nil {
+		svc.mu.Lock()
+		for _, job := range svc.jobs {
+			if job.key == "shared-do" && job.state == StateRunning {
+				doJob = job
+			}
+		}
+		svc.mu.Unlock()
+		select {
+		case <-deadline:
+			t.Fatal("Do job never started running")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	waiter, err := svc.submit(nil, "shared-do", block, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := <-doErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned Do err = %v, want context.Canceled", err)
+	}
+	st, err := svc.Job(doJob.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateCanceled {
+		t.Fatalf("abandoned Do job state = %s, want canceled at once", st.State)
+	}
+	close(release)
+	res, err := waiter.Wait(context.Background())
+	if err != nil || !res.Completed {
+		t.Fatalf("coalesced job after the Do was abandoned: res=%v err=%v", res, err)
 	}
 }
 
@@ -660,19 +790,21 @@ func TestJobRetentionPruning(t *testing.T) {
 	}
 }
 
-// hasCompute reports, under the service lock, whether job still holds its
-// compute closure.
+// hasCompute reports, under the service lock, whether the cache entry of
+// job's key still holds a compute closure. A Job never holds one; its entry
+// does until a worker starts the computation.
 func hasCompute(svc *Service, job *Job) bool {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
-	return job.compute != nil
+	e := svc.cache[resultKey(job.key)]
+	return e != nil && e.compute != nil
 }
 
-// TestSettledJobDropsCompute: a retained job keeps its ID and result, not
-// its compute closure (and whatever that captured). A job computes at most
-// once, so the worker takes the closure when it starts the job: a running
-// owner no longer holds it, and neither does a canceled owner whose
-// computation still runs for coalesced waiters.
+// TestSettledJobDropsCompute: a settled job's entry keeps its result, not
+// the compute closure (and whatever that captured). An entry computes at
+// most once, so the worker takes the closure when it starts the run: a
+// running computation's entry no longer holds it, including while it runs
+// on for coalesced jobs after its first submitter was canceled.
 func TestSettledJobDropsCompute(t *testing.T) {
 	svc := newTestService(t, Options{Workers: 1})
 	ran, err := svc.Submit(quickSpec())

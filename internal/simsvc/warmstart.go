@@ -82,7 +82,7 @@ func (s *Service) submitFork(spec RunSpec, base RunSpec, baseKey string, cycles 
 		if err != nil {
 			return nil, err
 		}
-		// The job's trace rides the context (obs.WithTrace in runJob): split
+		// The job's trace rides the context (obs.WithTrace in runEntry): split
 		// the compute span into a warm-start span — computing or waiting
 		// for the snapshot — and the simulation proper.
 		tr := obs.TraceFrom(ctx)
@@ -103,7 +103,7 @@ func (s *Service) submitFork(spec RunSpec, base RunSpec, baseKey string, cycles 
 			return nil, err
 		}
 		// The warm start failed for a reason other than cancellation — a
-		// corrupt or structurally incompatible snapshot, an owner failure, an
+		// corrupt or structurally incompatible snapshot, a failed snapshot computation, an
 		// injected fault. The fork was only ever an optimization: degrade to
 		// a cold run of the same config so the job still succeeds, and count
 		// the downgrade (kagura_degraded_runs).
@@ -131,9 +131,9 @@ func forkKey(baseKey string, cycles int64, coldKey string) string {
 // warmSnapshot returns the base spec's snapshot at the fork cycle,
 // computing it at most once per key while concurrent forks wait on the
 // in-flight cache entry (singleflight). A failed computation deletes the
-// entry before signalling; a waiter that observes the failure retries as the
-// new owner under its own context, so one canceled job cannot poison the
-// batch. A hit is booked only when the snapshot is delivered.
+// entry as it resolves; a waiter that observes the failure retries as the
+// entry's new creator under its own context, so one canceled job cannot
+// poison the batch. A hit is booked only when the snapshot is delivered.
 func (s *Service) warmSnapshot(ctx context.Context, base RunSpec, baseKey string, cycles int64) (*ehs.Snapshot, error) {
 	k := cacheKey{kind: store.KindCheckpoint, key: warmStoreKey(baseKey, cycles)}
 	for {
@@ -148,8 +148,8 @@ func (s *Service) warmSnapshot(ctx context.Context, base RunSpec, baseKey string
 				}
 				s.mu.Lock()
 				if !e.ready {
-					// The owner failed and removed the entry; try to take
-					// over. Progress is guaranteed: every iteration either
+					// The computation failed and removed the entry; try
+					// to take over. Progress is guaranteed: every iteration either
 					// finds a live entry or installs one.
 					s.mu.Unlock()
 					continue
@@ -167,28 +167,25 @@ func (s *Service) warmSnapshot(ctx context.Context, base RunSpec, baseKey string
 		s.met.warmMisses++
 		s.mu.Unlock()
 
-		// Only the owner of a snapshot miss builds the base config; hits and
-		// waiters above never do.
+		// Only the fork that created the entry builds the base config;
+		// hits and waiters above never do.
 		snap, blob, fromStore, err := s.loadWarmSnapshot(ctx, base, baseKey, cycles)
 		s.mu.Lock()
-		if err != nil {
-			delete(s.cache, k)
-		} else {
-			// Book the snapshot's encoded size — the exact wire size a
-			// checkpoint of this state has — and write a fresh blob through
-			// to the persistent tier.
+		// Book the snapshot's encoded size — the exact wire size a
+		// checkpoint of this state has — and write a fresh blob through to
+		// the persistent tier.
+		var encode func() ([]byte, error)
+		if err == nil {
 			e.snap = snap
-			var encode func() ([]byte, error)
 			if blob != nil {
 				s.met.snapshotBytesHist.Observe(float64(len(blob)))
 				if !fromStore {
 					encode = func() ([]byte, error) { return blob, nil }
 				}
 			}
-			s.publishLocked(k, e, len(blob), encode)
 		}
+		s.resolveLocked(k, e, err, len(blob), encode)
 		s.mu.Unlock()
-		close(e.done)
 		return snap, err
 	}
 }
