@@ -1,7 +1,6 @@
 // Command kagura-vet is the driver for kagura's project-specific static
 // analyzers (internal/lint): simdeterminism, lockedblock, mapiterorder,
-// floateq, atomicwrite, boundeddecode, errtaxonomy, and discardenc. It runs
-// over package patterns:
+// floateq, and atomicwrite. It runs over package patterns:
 //
 //	go run ./cmd/kagura-vet ./...
 //	kagura-vet -sarif ./... > lint.sarif

@@ -11,13 +11,17 @@ import (
 // per run. These tests pin the steady-state allocation budget at zero.
 
 // TestSizeProbeZeroAlloc: the per-fill compression probe (devirtualized
-// CompressedSize) must never touch the heap, for every built-in codec.
+// CompressedSize) must never touch the heap, for every built-in codec. Each
+// probe uses a new address, so it misses the probe memo and reaches the
+// codec.
 func TestSizeProbeZeroAlloc(t *testing.T) {
 	data := mkBlock(3)
 	for _, codec := range compress.Extended() {
 		c := New(DefaultConfig(codec.Name(), codec))
+		addr := uint32(0)
 		allocs := testing.AllocsPerRun(200, func() {
-			c.compressedSegments(0, data)
+			c.compressedSegments(addr, data)
+			addr += 32
 		})
 		if allocs != 0 { //kagura:allow floateq AllocsPerRun returns an exact integral count
 			t.Errorf("%s: compressedSegments allocates %.1f objects/run, want 0", codec.Name(), allocs)
@@ -25,36 +29,58 @@ func TestSizeProbeZeroAlloc(t *testing.T) {
 	}
 }
 
+// evictionCodecs are the configurations the eviction tests cover: no codec,
+// then every built-in codec. A fill-path call that builds an encoding (a
+// Compress on a concrete codec) allocates, and fails these tests.
+func evictionCodecs() []compress.Sizer {
+	out := []compress.Sizer{nil}
+	for _, codec := range compress.Extended() {
+		out = append(out, codec)
+	}
+	return out
+}
+
+func codecName(codec compress.Sizer) string {
+	if codec == nil {
+		return "nil"
+	}
+	return codec.Name()
+}
+
+// steadyFillAllocs warms a cache with 64 fills, then reports the allocations
+// per further fill, each of which evicts; dirty sets whether the fills (and
+// so the victims) are dirty.
+func steadyFillAllocs(t *testing.T, codec compress.Sizer, dirty bool) float64 {
+	t.Helper()
+	c := New(DefaultConfig(codecName(codec), codec))
+	blocks := make([][]byte, 8)
+	for i := range blocks {
+		blocks[i] = mkBlock(byte(i))
+	}
+	// Warm every set structure past its steady-state footprint.
+	for i := uint32(0); i < 64; i++ {
+		c.Fill(i*32, blocks[i%8], dirty, codec != nil, false, int64(i))
+	}
+	addr := uint32(64 * 32)
+	now := int64(64)
+	allocs := testing.AllocsPerRun(200, func() {
+		c.Fill(addr, blocks[int(addr/32)%8], dirty, codec != nil, false, now)
+		addr += 32
+		now++
+	})
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return allocs
+}
+
 // TestCleanEvictionZeroAlloc: once warm, a fill that evicts only clean blocks
 // performs no allocation — victim records live in the recycled scratch and
 // clean victims carry no data.
 func TestCleanEvictionZeroAlloc(t *testing.T) {
-	for _, codec := range []compress.Codec{nil, compress.BDI{}} {
-		name := "nil"
-		if codec != nil {
-			name = codec.Name()
-		}
-		c := New(DefaultConfig(name, codec))
-		blocks := make([][]byte, 8)
-		for i := range blocks {
-			blocks[i] = mkBlock(byte(i))
-		}
-		// Warm every set structure past its steady-state footprint.
-		for i := uint32(0); i < 64; i++ {
-			c.Fill(i*32, blocks[i%8], false, codec != nil, false, int64(i))
-		}
-		addr := uint32(64 * 32)
-		now := int64(64)
-		allocs := testing.AllocsPerRun(200, func() {
-			c.Fill(addr, blocks[int(addr/32)%8], false, codec != nil, false, now)
-			addr += 32
-			now++
-		})
-		if allocs != 0 { //kagura:allow floateq AllocsPerRun returns an exact integral count
-			t.Errorf("codec=%s: clean-eviction Fill allocates %.1f objects/run, want 0", name, allocs)
-		}
-		if err := c.checkInvariants(); err != nil {
-			t.Fatal(err)
+	for _, codec := range evictionCodecs() {
+		if allocs := steadyFillAllocs(t, codec, false); allocs != 0 { //kagura:allow floateq AllocsPerRun returns an exact integral count
+			t.Errorf("codec=%s: clean-eviction Fill allocates %.1f objects/run, want 0", codecName(codec), allocs)
 		}
 	}
 }
@@ -62,23 +88,10 @@ func TestCleanEvictionZeroAlloc(t *testing.T) {
 // TestDirtyEvictionSteadyStateZeroAlloc: dirty victims copy into the arena,
 // which is recycled — steady-state dirty traffic allocates nothing either.
 func TestDirtyEvictionSteadyStateZeroAlloc(t *testing.T) {
-	c := New(DefaultConfig("dirty", compress.BDI{}))
-	blocks := make([][]byte, 8)
-	for i := range blocks {
-		blocks[i] = mkBlock(byte(i))
-	}
-	for i := uint32(0); i < 64; i++ {
-		c.Fill(i*32, blocks[i%8], true, true, false, int64(i))
-	}
-	addr := uint32(64 * 32)
-	now := int64(64)
-	allocs := testing.AllocsPerRun(200, func() {
-		c.Fill(addr, blocks[int(addr/32)%8], true, true, false, now)
-		addr += 32
-		now++
-	})
-	if allocs != 0 { //kagura:allow floateq AllocsPerRun returns an exact integral count
-		t.Errorf("dirty-eviction Fill allocates %.1f objects/run, want 0", allocs)
+	for _, codec := range evictionCodecs() {
+		if allocs := steadyFillAllocs(t, codec, true); allocs != 0 { //kagura:allow floateq AllocsPerRun returns an exact integral count
+			t.Errorf("codec=%s: dirty-eviction Fill allocates %.1f objects/run, want 0", codecName(codec), allocs)
+		}
 	}
 }
 

@@ -43,8 +43,10 @@ type Config struct {
 	TagFactor int
 	// SegmentBytes is the data-array allocation granularity (default 4).
 	SegmentBytes int
-	// Codec compresses blocks; nil disables compression support entirely.
-	Codec compress.Codec
+	// Codec sizes compressed blocks; nil disables compression support
+	// entirely. The cache stores raw bytes and a segment count, so it needs
+	// only the size, never an encoding.
+	Codec compress.Sizer
 	// Replacement selects the victim policy (default LRU).
 	Replacement Replacement
 }
@@ -73,7 +75,7 @@ func (r Replacement) String() string {
 }
 
 // DefaultConfig returns the paper's Table I cache: 256B, 2-way, 32B blocks.
-func DefaultConfig(name string, codec compress.Codec) Config {
+func DefaultConfig(name string, codec compress.Sizer) Config {
 	return Config{
 		Name:         name,
 		SizeBytes:    256,
@@ -226,7 +228,7 @@ const (
 )
 
 // codecKindOf classifies a codec for static dispatch.
-func codecKindOf(c compress.Codec) codecKind {
+func codecKindOf(c compress.Sizer) codecKind {
 	switch c.(type) {
 	case nil:
 		return codecNone

@@ -25,13 +25,15 @@ type refLine struct {
 	segs int
 }
 
-func newRefModel(cfg Config) *refModel {
+// newRefModel sizes blocks with codec's full Compress, independently of the
+// cache's CompressedSize probe.
+func newRefModel(cfg Config, codec compress.Codec) *refModel {
 	return &refModel{
 		segPerSet:   cfg.Ways * cfg.BlockSize / cfg.SegmentBytes,
 		segPerBlock: cfg.BlockSize / cfg.SegmentBytes,
 		maxTags:     cfg.TagFactor * cfg.Ways,
 		numSets:     cfg.SizeBytes / (cfg.Ways * cfg.BlockSize),
-		codec:       cfg.Codec,
+		codec:       codec,
 		segBytes:    cfg.SegmentBytes,
 		sets:        make([][]refLine, cfg.SizeBytes/(cfg.Ways*cfg.BlockSize)),
 	}
@@ -119,7 +121,7 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 	for _, codec := range []compress.Codec{nil, compress.BDI{}, compress.DZC{}} {
 		cfg := DefaultConfig("x", codec)
 		c := New(cfg)
-		ref := newRefModel(cfg)
+		ref := newRefModel(cfg, codec)
 		r := rng.New(2024)
 
 		blockData := func(base uint32) []byte {

@@ -27,7 +27,7 @@ type Config struct {
 	// overwritten from Codec below.
 	ICache, DCache cache.Config
 	// Codec enables cache compression (nil ⇒ compressor-free baseline).
-	Codec compress.Codec
+	Codec compress.Sizer
 	// UseACC gates compression behind the GCP predictor. Ignored when Codec
 	// is nil.
 	UseACC bool
@@ -81,7 +81,7 @@ func Default(app *workload.App, trace *powertrace.Trace) Config {
 }
 
 // WithACC returns a copy with the given compressor managed by ACC.
-func (c Config) WithACC(codec compress.Codec) Config {
+func (c Config) WithACC(codec compress.Sizer) Config {
 	c.Codec = codec
 	c.UseACC = true
 	return c

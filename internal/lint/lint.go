@@ -12,16 +12,17 @@
 //     holding a mutex — the class of bug behind PR 1's close-of-closed-channel
 //     worker panic (analyzer lockedblock).
 //
-//   - Persistence and service contracts: durable state is written atomically
-//     (atomicwrite), wire-read lengths are bounded before allocation
-//     (boundeddecode), boundary errors are classifiable (errtaxonomy), and
-//     size probes never build an encoding only to discard it (discardenc).
+//   - Durable writes: persisting packages write files atomically
+//     (atomicwrite).
 //
-// Contracts a type can state live in types instead: fault-injection points
-// are typed values of internal/faultinject's registry and metric families
-// typed values of internal/obs's catalog, so a misspelled name does not
-// compile. Every analyzer here checks one package at a time; none needs
-// facts about another package.
+// Contracts a type or a plain test can state live there instead:
+// fault-injection points are typed values of internal/faultinject's
+// registry and metric families typed values of internal/obs's catalog, so a
+// misspelled name does not compile; the cache holds a size-only
+// compress.Sizer, so a size probe cannot build an encoding; service errors
+// carry their code in *simsvc.Error; and internal/frame's hostile-length
+// sweep bounds what every decoder allocates. Every analyzer here checks one
+// package at a time; none needs facts about another package.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis (Analyzer
 // / Pass / Diagnostic) but is built on the standard library alone, because
@@ -64,8 +65,7 @@ type Analyzer struct {
 // All returns the full suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SimDeterminism, LockedBlock, MapIterOrder, FloatEq,
-		AtomicWrite, BoundedDecode, ErrTaxonomy, DiscardEnc,
+		SimDeterminism, LockedBlock, MapIterOrder, FloatEq, AtomicWrite,
 	}
 }
 

@@ -139,8 +139,7 @@ func NewHandler(svc *Service) http.Handler {
 		if r.URL.Query().Get("format") == "otlp" {
 			blob, err := svc.JobTraceOTLP(r.PathValue("id"))
 			if err != nil {
-				svc.noteError(CodeUnknownJob)
-				writeError(w, http.StatusNotFound, CodeUnknownJob, err)
+				writeNotFound(w, svc, err)
 				return
 			}
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -149,8 +148,7 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		st, err := svc.Job(r.PathValue("id"))
 		if err != nil {
-			svc.noteError(CodeUnknownJob)
-			writeError(w, http.StatusNotFound, CodeUnknownJob, err)
+			writeNotFound(w, svc, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
@@ -158,8 +156,7 @@ func NewHandler(svc *Service) http.Handler {
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := svc.Cancel(r.PathValue("id")); err != nil {
-			svc.noteError(CodeUnknownJob)
-			writeError(w, http.StatusNotFound, CodeUnknownJob, err)
+			writeNotFound(w, svc, err)
 			return
 		}
 		st, _ := svc.Job(r.PathValue("id"))
@@ -186,6 +183,13 @@ func writeServiceError(w http.ResponseWriter, svc *Service, err error) {
 		w.Header().Set("Retry-After", strconv.Itoa(svc.RetryAfterSeconds()))
 	}
 	writeError(w, status, Classify(err), err)
+}
+
+// writeNotFound renders a failed job lookup, which is always a 404; its
+// code comes from the error (unknown_job).
+func writeNotFound(w http.ResponseWriter, svc *Service, err error) {
+	svc.noteError(Classify(err))
+	writeError(w, http.StatusNotFound, Classify(err), err)
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, svc *Service, v any) bool {

@@ -34,8 +34,12 @@ var (
 
 // metrics holds the service counters; guarded by Service.mu.
 type metrics struct {
-	jobsRun      int64 // simulations actually executed
-	jobsCached   int64 // jobs served from the cache or coalesced in flight
+	// jobsRun counts successful jobs that were their computation's first
+	// submitter and still attached when it finished — not simulations: a
+	// computation whose first submitter was canceled books its finish as
+	// cached for the coalesced jobs, and no series counts it as run.
+	jobsRun      int64
+	jobsCached   int64 // successful jobs served from the cache or coalesced in flight
 	jobsFailed   int64
 	jobsCanceled int64
 
@@ -102,6 +106,9 @@ func (m *metrics) countError(code ErrorCode) {
 
 // MetricsSnapshot is a point-in-time view of the service counters.
 type MetricsSnapshot struct {
+	// JobsRun counts successful jobs that submitted their computation first
+	// and were still attached when it finished (kagura_jobs_total{status="run"});
+	// it undercounts simulations when a first submitter is canceled.
 	JobsRun      int64 `json:"jobsRun"`
 	JobsCached   int64 `json:"jobsCached"`
 	JobsFailed   int64 `json:"jobsFailed"`

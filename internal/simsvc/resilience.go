@@ -3,7 +3,6 @@ package simsvc
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"kagura/internal/faultinject"
 )
@@ -56,31 +55,32 @@ var errorCodes = []ErrorCode{
 	CodeUnknownJob,
 }
 
-// Classify maps an error to its taxonomy code. Order matters: ErrOverloaded
-// wraps ErrQueueFull, so the breaker is checked first.
+// Error is a service error that carries its taxonomy code: the submission
+// sentinels, spec-validation failures and recovered compute panics. Its text
+// and unwrap chain are those of Err.
+type Error struct {
+	Code ErrorCode
+	Err  error
+}
+
+func (e *Error) Error() string { return e.Err.Error() }
+func (e *Error) Unwrap() error { return e.Err }
+
+// Classify maps an error to its taxonomy code: the code of the outermost
+// *Error in its chain (ErrOverloaded wraps ErrQueueFull, so the breaker's
+// code wins), else the context, fault-injection or catch-all code.
 func Classify(err error) ErrorCode {
-	var pe *panicError
+	var se *Error
 	var inj *faultinject.InjectedError
-	var se *specError
 	switch {
 	case err == nil:
 		return ""
-	case errors.Is(err, ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, ErrQueueFull):
-		return CodeQueueFull
-	case errors.Is(err, ErrClosed):
-		return CodeServiceClosed
-	case errors.Is(err, ErrUnknownJob):
-		return CodeUnknownJob
 	case errors.As(err, &se):
-		return CodeInvalidSpec
+		return se.Code
 	case errors.Is(err, context.DeadlineExceeded):
 		return CodeTimeout
 	case errors.Is(err, context.Canceled):
 		return CodeCanceled
-	case errors.As(err, &pe):
-		return CodePanic
 	case errors.As(err, &inj):
 		return CodeFaultInjected
 	default:
@@ -88,21 +88,8 @@ func Classify(err error) ErrorCode {
 	}
 }
 
-// specError marks a spec-validation failure for Classify without altering the
-// error's text or unwrap chain.
-type specError struct{ err error }
-
-func (e *specError) Error() string { return e.err.Error() }
-func (e *specError) Unwrap() error { return e.err }
-
 // badSpec books one validation failure and marks the error invalid_spec.
 func (s *Service) badSpec(err error) error {
 	s.noteError(CodeInvalidSpec)
-	return &specError{err: err}
+	return &Error{Code: CodeInvalidSpec, Err: err}
 }
-
-// panicError wraps a recovered compute panic. The job settles with it at
-// once: a panic is a crash the worker survives, not a reason to run again.
-type panicError struct{ val any }
-
-func (e *panicError) Error() string { return fmt.Sprintf("simsvc: job panicked: %v", e.val) }

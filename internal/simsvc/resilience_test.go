@@ -192,7 +192,9 @@ func TestClassifyTaxonomy(t *testing.T) {
 		{ErrUnknownJob, CodeUnknownJob},
 		{context.DeadlineExceeded, CodeTimeout},
 		{context.Canceled, CodeCanceled},
-		{&panicError{val: "x"}, CodePanic},
+		{&Error{Code: CodePanic, Err: errors.New("simsvc: job panicked: x")}, CodePanic},
+		{fmt.Errorf("simsvc: batch[%d]: %w", 3, &Error{Code: CodeInvalidSpec, Err: errors.New("bad")}), CodeInvalidSpec},
+		{fmt.Errorf("%w: %q", ErrUnknownJob, "job-1"), CodeUnknownJob},
 		{&faultinject.InjectedError{Point: "p"}, CodeFaultInjected},
 		{errors.New("anything else"), CodeInternal},
 	}
@@ -359,71 +361,221 @@ func TestWarmEvictionRacesFork(t *testing.T) {
 	}
 }
 
+// TestHTTPErrorCodes pins the status, `error` text and `code` of every /v1
+// error response: at least one row per code in errorCodes (the test fails if
+// a code has none), plus the batch and forkPoint wraps, which must keep the
+// wrapped error's code.
 func TestHTTPErrorCodes(t *testing.T) {
-	_, srv := newTestServer(t)
+	const (
+		runBody  = `{"app":"jpeg","scale":0.004}`
+		badApp   = `{"app":"no-such-workload","scale":0.01}`
+		badError = `simsvc: workload: unknown application "no-such-workload"`
+	)
+	rows := []struct {
+		name    string
+		opts    Options
+		code    ErrorCode
+		status  int
+		wantErr string
+		do      func(t *testing.T, svc *Service, url string) *http.Response
+	}{
+		{"malformed json", Options{}, CodeBadRequest, 400, "invalid character 'n' looking for beginning of object key string",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return post(t, url+"/v1/run", "{nope")
+			}},
+		{"empty batch", Options{}, CodeBadRequest, 400, "simsvc: batch needs a non-empty jobs array",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return post(t, url+"/v1/batch", `{"jobs":[]}`)
+			}},
+		{"job status", Options{}, CodeUnknownJob, 404, `simsvc: unknown job: "job-missing"`,
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return send(t, "GET", url+"/v1/jobs/job-missing")
+			}},
+		{"job trace", Options{}, CodeUnknownJob, 404, `simsvc: unknown job: "job-missing"`,
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return send(t, "GET", url+"/v1/jobs/job-missing?format=otlp")
+			}},
+		{"job cancel", Options{}, CodeUnknownJob, 404, `simsvc: unknown job: "job-missing"`,
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return send(t, "DELETE", url+"/v1/jobs/job-missing")
+			}},
+		{"run spec", Options{}, CodeInvalidSpec, 400, badError,
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return post(t, url+"/v1/run", badApp)
+			}},
+		{"batch spec", Options{}, CodeInvalidSpec, 400, "simsvc: batch[1]: " + badError,
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return post(t, url+"/v1/batch", `{"jobs":[`+runBody+`,`+badApp+`]}`)
+			}},
+		{"forked batch spec", Options{}, CodeInvalidSpec, 400, "simsvc: batch[1]: " + badError,
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return post(t, url+"/v1/batch", `{"jobs":[`+runBody+`,`+badApp+`],"forkPoint":{"cycles":1000}}`)
+			}},
+		{"forkPoint base", Options{}, CodeInvalidSpec, 400, "simsvc: forkPoint base: " + badError,
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return post(t, url+"/v1/batch", `{"jobs":[`+runBody+`],"forkPoint":{"cycles":1000,"base":`+badApp+`}}`)
+			}},
+		{"closed", Options{}, CodeServiceClosed, 503, "simsvc: service closed",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				svc.Close()
+				return post(t, url+"/v1/run", runBody)
+			}},
+		{"shed", Options{Workers: 1, QueueDepth: 1}, CodeOverloaded, 503, "simsvc: overloaded, load shed: simsvc: queue full",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				occupyWorker(t, svc)
+				// One queued entry reaches the high-water mark of a 1-deep queue.
+				if _, err := svc.submit(nil, "queued", waitForCancel, 0, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+				return post(t, url+"/v1/run?async=1", runBody)
+			}},
+		// The breaker opens at max(1, int(shedHighWater × QueueDepth)) < QueueDepth
+		// queued entries, so a submission sees ErrOverloaded before the queue
+		// can fill; this row renders ErrQueueFull through the submission error
+		// path instead.
+		{"queue full", Options{}, CodeQueueFull, 503, "simsvc: queue full",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				rec := httptest.NewRecorder()
+				writeServiceError(rec, svc, ErrQueueFull)
+				return rec.Result()
+			}},
+		{"timeout", Options{}, CodeTimeout, 400, "ehs: run jpeg aborted: context deadline exceeded",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return post(t, url+"/v1/run", `{"app":"jpeg","scale":1,"timeoutSeconds":0.001}`)
+			}},
+		{"canceled", Options{}, CodeCanceled, 400, "context canceled",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				return runAttached(t, svc, url, waitForCancel, func(job JobStatus) {
+					if resp := send(t, "DELETE", url+"/v1/jobs/"+job.ID); resp.StatusCode != http.StatusOK {
+						t.Fatalf("cancel = %d", resp.StatusCode)
+					}
+				})
+			}},
+		{"panic", Options{}, CodePanic, 400, "simsvc: job panicked: faultinject: injected panic at simsvc.compute (occurrence 1) ",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				armChaos(t, faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{
+					{Point: "simsvc.compute", Kind: faultinject.KindPanic, Every: 1},
+				}})
+				return post(t, url+"/v1/run", runBody)
+			}},
+		{"injected fault", Options{}, CodeFaultInjected, 400, "faultinject: simsvc.http.body (occurrence 1): body chewed",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				armChaos(t, faultinject.Plan{Seed: 1, Rules: []faultinject.Rule{
+					{Point: "simsvc.http.body", Kind: faultinject.KindError, Every: 1, Message: "body chewed"},
+				}})
+				return post(t, url+"/v1/run", runBody)
+			}},
+		{"unclassified compute error", Options{}, CodeInternal, 400, "simsvc test: compute failed",
+			func(t *testing.T, svc *Service, url string) *http.Response {
+				release := make(chan struct{})
+				failing := func(ctx context.Context) (*ehs.Result, error) {
+					<-release
+					return nil, errors.New("simsvc test: compute failed")
+				}
+				return runAttached(t, svc, url, failing, func(JobStatus) { close(release) })
+			}},
+	}
+	covered := make(map[ErrorCode]bool)
+	for _, row := range rows {
+		covered[row.code] = true
+		t.Run(row.name, func(t *testing.T) {
+			opts := row.opts
+			if opts.Workers == 0 {
+				opts.Workers = 2
+			}
+			svc := New(opts)
+			srv := httptest.NewServer(NewHandler(svc))
+			// Closing the service first ends any computation a failed row
+			// left a request waiting on, so the server can drain.
+			t.Cleanup(func() {
+				svc.Close()
+				srv.Close()
+			})
+			resp := row.do(t, svc, srv.URL)
+			body := decodeBody[struct{ Error, Code string }](t, resp)
+			if resp.StatusCode != row.status || body.Code != string(row.code) || body.Error != row.wantErr {
+				t.Fatalf("got %d %s %q, want %d %s %q", resp.StatusCode, body.Code, body.Error, row.status, row.code, row.wantErr)
+			}
+		})
+	}
+	for _, code := range errorCodes {
+		if !covered[code] {
+			t.Errorf("no row renders code %s", code)
+		}
+	}
+}
 
-	// Readiness of an idle service.
-	resp, err := http.Get(srv.URL + "/readyz")
+// post sends body to url as JSON.
+func post(t *testing.T, url, body string) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz = %d, want 200", resp.StatusCode)
-	}
+	return resp
+}
 
-	// Malformed JSON is a bad_request.
-	resp, err = http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader("{nope"))
+// send issues a bodiless request.
+func send(t *testing.T, method, url string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON = %d, want 400", resp.StatusCode)
-	}
-	var body struct {
-		Code string `json:"code"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if body.Code != string(CodeBadRequest) {
-		t.Fatalf("bad JSON code = %q, want %q", body.Code, CodeBadRequest)
-	}
-
-	// Missing jobs carry unknown_job.
-	resp, err = http.Get(srv.URL + "/v1/jobs/job-does-not-exist")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("missing job = %d, want 404", resp.StatusCode)
-	}
-	body.Code = ""
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if body.Code != string(CodeUnknownJob) {
-		t.Fatalf("missing job code = %q, want %q", body.Code, CodeUnknownJob)
-	}
+	return resp
+}
 
-	// An invalid spec carries invalid_spec.
-	resp, err = http.Post(srv.URL+"/v1/run", "application/json",
-		strings.NewReader(`{"app":"no-such-workload","scale":0.01}`))
+// waitForCancel is a compute that returns only when its context ends.
+func waitForCancel(ctx context.Context) (*ehs.Result, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// runAttached starts compute under the key of a quick spec, POSTs that spec
+// to /v1/run so the request's job attaches to the running computation, calls
+// then with the request's job, and returns the /v1/run response.
+func runAttached(t *testing.T, svc *Service, url string, compute func(context.Context) (*ehs.Result, error), then func(JobStatus)) *http.Response {
+	t.Helper()
+	spec := quickSpec()
+	key, err := spec.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid spec = %d, want 400", resp.StatusCode)
-	}
-	body.Code = ""
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if _, err := svc.submit(nil, key, compute, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if body.Code != string(CodeInvalidSpec) {
-		t.Fatalf("invalid spec code = %q, want %q", body.Code, CodeInvalidSpec)
+	blob, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respc := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(string(blob)))
+		if err != nil {
+			t.Error(err)
+		}
+		respc <- resp
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, job := range svc.Jobs() {
+			if job.Spec != nil {
+				then(job)
+				resp := <-respc
+				if resp == nil {
+					t.FailNow()
+				}
+				return resp
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the /v1/run job never attached")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -52,20 +52,20 @@ import (
 	"kagura/internal/store"
 )
 
-// Errors returned by submission.
+// Errors returned by submission, each carrying its taxonomy code.
 var (
 	// ErrClosed reports submission to a closed service.
-	ErrClosed = errors.New("simsvc: service closed")
+	ErrClosed = &Error{Code: CodeServiceClosed, Err: errors.New("simsvc: service closed")}
 	// ErrQueueFull reports that the bounded job queue is at capacity.
-	ErrQueueFull = errors.New("simsvc: queue full")
+	ErrQueueFull = &Error{Code: CodeQueueFull, Err: errors.New("simsvc: queue full")}
 	// ErrOverloaded reports that the load-shedding breaker is open: queue
 	// occupancy crossed shedHighWater and has not yet drained below
 	// shedLowWater. It wraps ErrQueueFull so callers treating "no capacity"
 	// uniformly keep working; HTTP maps it to 503 + Retry-After.
-	ErrOverloaded = fmt.Errorf("simsvc: overloaded, load shed: %w", ErrQueueFull)
+	ErrOverloaded = &Error{Code: CodeOverloaded, Err: fmt.Errorf("simsvc: overloaded, load shed: %w", ErrQueueFull)}
 	// ErrUnknownJob reports a lookup of a job ID the service doesn't know
 	// (never submitted, or pruned after retention).
-	ErrUnknownJob = errors.New("simsvc: unknown job")
+	ErrUnknownJob = &Error{Code: CodeUnknownJob, Err: errors.New("simsvc: unknown job")}
 )
 
 // State is a job's lifecycle position.
@@ -877,15 +877,16 @@ func (s *Service) runEntry(e *entry) {
 }
 
 // safeCompute shields the worker pool from panicking compute functions. The
-// recovered panic surfaces as a *panicError (taxonomy code panic) and is
-// counted in kagura_panics_recovered_total.
+// recovered panic surfaces as an *Error with code panic and is counted in
+// kagura_panics_recovered_total. The job settles with it at once: a panic is
+// a crash the worker survives, not a reason to run again.
 func (s *Service) safeCompute(ctx context.Context, compute func(context.Context) (*ehs.Result, error)) (res *ehs.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.mu.Lock()
 			s.met.panicsRecovered++
 			s.mu.Unlock()
-			res, err = nil, &panicError{val: r}
+			res, err = nil, &Error{Code: CodePanic, Err: fmt.Errorf("simsvc: job panicked: %v", r)}
 		}
 	}()
 	return compute(ctx)

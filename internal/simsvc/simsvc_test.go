@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -577,6 +578,49 @@ func TestCancelRunningOwnerKeepsWaiters(t *testing.T) {
 	}
 	if !res.Completed {
 		t.Fatal("waiter result incomplete")
+	}
+}
+
+// TestCanceledOwnerComputationBooksCached pins how a computation is booked
+// when its first submitter is canceled while it runs: the coalesced job that
+// receives the result counts as cached, and kagura_jobs_total{status="run"}
+// counts nothing, although one simulation ran.
+func TestCanceledOwnerComputationBooksCached(t *testing.T) {
+	svc := newTestService(t, Options{Workers: 1})
+	release := make(chan struct{})
+	block := func(ctx context.Context) (*ehs.Result, error) {
+		select {
+		case <-release:
+			return &ehs.Result{Completed: true}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	owner, err := svc.submit(nil, "shared", block, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, svc, owner)
+	waiter, err := svc.submit(nil, "shared", block, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Cancel(owner.ID()); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if _, err := waiter.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	m := svc.Metrics()
+	if m.JobsRun != 0 || m.JobsCached != 1 || m.JobsCanceled != 1 {
+		t.Fatalf("run %d, cached %d, canceled %d; want 0, 1, 1", m.JobsRun, m.JobsCached, m.JobsCanceled)
+	}
+	prom := m.Prometheus()
+	for _, line := range []string{`kagura_jobs_total{status="run"} 0`, `kagura_jobs_total{status="cached"} 1`} {
+		if !strings.Contains(prom, line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }
 
